@@ -1,11 +1,11 @@
 // AB10 — ablation: the multi-document store catalog.
 //
 // Part 1 measures persistence of an N-document collection: one catalog
-// image (CTLG + N DOC0 sections) vs. N separate single-document
-// images. Expected shape: near-identical byte volume and load time —
-// the catalog buys one file handle, one directory and shared framing
-// without a decode penalty, so "one store file" costs nothing over a
-// directory of images.
+// image (CTLG + N DOC2/DRV1 section pairs) vs. N separate
+// single-document images. Expected shape: near-identical byte volume
+// and load time — the catalog buys one file handle, one directory and
+// shared framing without a decode penalty, so "one store file" costs
+// nothing over a directory of images.
 //
 // Part 2 measures query fan-out: the same nearest-concept query
 // through store::MultiExecutor at N = 1/2/4/8 documents, against the

@@ -2,20 +2,18 @@
 //
 // The paper's value proposition is "bulk-load DBLP once, query
 // interactively ever after", which makes the image-to-executor path
-// the product's cold-start latency. This bench isolates the three
-// levers this repo pulls on it:
+// the product's cold-start latency. This bench isolates the levers
+// this repo pulls on it:
 //
-// Part 1 — payload codec: the row-oriented DOC0 payload replays one
-// framed (path, owner, value) row per string (an allocation and a
-// dispatch each), the columnar payloads memcpy whole columns and
-// adopt one value arena per path. Expected shape: columnar decodes
-// the dblp corpus several times faster (the acceptance bar is >= 3x
-// for executor-from-image).
+// Part 1 — executor from image: the DOC2 payload is decoded by
+// memcpying whole columns and adopting one value arena per path, and
+// the DRV1 section hands over the derived structures instead of a
+// Finalize() rebuild; the executor build rides on top.
 //
-// Part 1b — load mode: a copy-mode columnar load still memcpys every
-// node column and string blob out of the image; a view-mode (kView)
-// load of the aligned DOC2 payload borrows them as spans instead —
-// zero per-column copies, bytes_copied == 0 (reported as a counter).
+// Part 1b — load mode: a copy-mode load still memcpys every node
+// column and string blob out of the image; a view-mode (kView) load
+// borrows them as spans instead — zero per-column copies,
+// bytes_copied == 0 (reported as a counter).
 // Expected shape: document decode drops to validation + derived-
 // structure cost, and the gap widens with corpus size since the
 // copied bytes scale with the corpus while validation is cheap.
@@ -64,36 +62,19 @@ const model::StoredDocument& SharedDoc() {
   return *doc;
 }
 
-const std::string& Image(model::DocumentPayloadFormat format) {
-  auto make = [](model::DocumentPayloadFormat payload_format) {
-    model::SaveOptions options;
-    options.payload_format = payload_format;
-    auto bytes = model::SaveToBytes(SharedDoc(), options);
+const std::string& Image() {
+  static const std::string* image = [] {
+    auto bytes = model::SaveToBytes(SharedDoc());
     MEETXML_CHECK_OK(bytes.status());
     return new std::string(std::move(*bytes));
-  };
-  static const std::string* row =
-      make(model::DocumentPayloadFormat::kRowOriented);
-  static const std::string* unaligned =
-      make(model::DocumentPayloadFormat::kColumnarUnaligned);
-  static const std::string* columnar =
-      make(model::DocumentPayloadFormat::kColumnar);
-  switch (format) {
-    case model::DocumentPayloadFormat::kRowOriented:
-      return *row;
-    case model::DocumentPayloadFormat::kColumnarUnaligned:
-      return *unaligned;
-    case model::DocumentPayloadFormat::kColumnar:
-      break;
-  }
-  return *columnar;
+  }();
+  return *image;
 }
 
-// ---- Part 1: payload codec ----------------------------------------------
+// ---- Part 1: executor from image ----------------------------------------
 
-void ExecutorFromImage(benchmark::State& state,
-                       model::DocumentPayloadFormat format) {
-  const std::string& bytes = Image(format);
+void BM_ExecutorFromImageDoc2(benchmark::State& state) {
+  const std::string& bytes = Image();
   for (auto _ : state) {
     auto store = text::LoadStoreFromBytes(bytes);
     MEETXML_CHECK_OK(store.status());
@@ -106,47 +87,12 @@ void ExecutorFromImage(benchmark::State& state,
       static_cast<double>(bytes.size()) / 1e6,
       benchmark::Counter::kIsIterationInvariantRate);
 }
-
-void BM_ExecutorFromImageDoc0(benchmark::State& state) {
-  ExecutorFromImage(state, model::DocumentPayloadFormat::kRowOriented);
-}
-BENCHMARK(BM_ExecutorFromImageDoc0)->Unit(benchmark::kMillisecond);
-
-void BM_ExecutorFromImageDoc1(benchmark::State& state) {
-  ExecutorFromImage(state, model::DocumentPayloadFormat::kColumnarUnaligned);
-}
-BENCHMARK(BM_ExecutorFromImageDoc1)->Unit(benchmark::kMillisecond);
-
-void BM_ExecutorFromImageDoc2(benchmark::State& state) {
-  ExecutorFromImage(state, model::DocumentPayloadFormat::kColumnar);
-}
 BENCHMARK(BM_ExecutorFromImageDoc2)->Unit(benchmark::kMillisecond);
-
-// The pure payload decode, without the executor build on top.
-void DocumentDecode(benchmark::State& state,
-                    model::DocumentPayloadFormat format) {
-  const std::string& bytes = Image(format);
-  for (auto _ : state) {
-    auto doc = model::LoadFromBytes(bytes);
-    MEETXML_CHECK_OK(doc.status());
-    benchmark::DoNotOptimize(doc);
-  }
-}
-
-void BM_DocumentDecodeDoc0(benchmark::State& state) {
-  DocumentDecode(state, model::DocumentPayloadFormat::kRowOriented);
-}
-BENCHMARK(BM_DocumentDecodeDoc0)->Unit(benchmark::kMillisecond);
-
-void BM_DocumentDecodeDoc1(benchmark::State& state) {
-  DocumentDecode(state, model::DocumentPayloadFormat::kColumnarUnaligned);
-}
-BENCHMARK(BM_DocumentDecodeDoc1)->Unit(benchmark::kMillisecond);
 
 // ---- Part 1b: copy vs. view (zero-copy) load mode -----------------------
 
 void DocumentDecodeMode(benchmark::State& state, model::LoadMode mode) {
-  const std::string& bytes = Image(model::DocumentPayloadFormat::kColumnar);
+  const std::string& bytes = Image();
   model::LoadStats stats;
   model::LoadOptions options;
   options.mode = mode;
@@ -174,7 +120,7 @@ void BM_DocumentDecodeDoc2View(benchmark::State& state) {
 BENCHMARK(BM_DocumentDecodeDoc2View)->Unit(benchmark::kMillisecond);
 
 void BM_ExecutorFromImageDoc2View(benchmark::State& state) {
-  const std::string& bytes = Image(model::DocumentPayloadFormat::kColumnar);
+  const std::string& bytes = Image();
   model::LoadOptions options;
   options.mode = model::LoadMode::kView;
   for (auto _ : state) {
@@ -193,14 +139,10 @@ BENCHMARK(BM_ExecutorFromImageDoc2View)->Unit(benchmark::kMillisecond);
 
 // ---- Part 2: catalog open fan-out ---------------------------------------
 
-// A catalog of `count` mid-sized documents, serialized once per
-// (count, format) pair.
-const std::string& CatalogImage(int count,
-                                model::DocumentPayloadFormat format) {
-  static std::map<std::pair<int, int>, std::string>* cache =
-      new std::map<std::pair<int, int>, std::string>();
-  auto key = std::make_pair(count, static_cast<int>(format));
-  auto it = cache->find(key);
+// A catalog of `count` mid-sized documents, serialized once per count.
+const std::string& CatalogImage(int count) {
+  static std::map<int, std::string>* cache = new std::map<int, std::string>();
+  auto it = cache->find(count);
   if (it != cache->end()) return it->second;
 
   store::Catalog catalog;
@@ -219,16 +161,15 @@ const std::string& CatalogImage(int count,
         catalog.Add("dblp_" + std::to_string(i), std::move(*shredded))
             .status());
   }
-  auto bytes = catalog.SaveToBytes(format);
+  auto bytes = catalog.SaveToBytes();
   MEETXML_CHECK_OK(bytes.status());
-  return (*cache)[key] = std::move(*bytes);
+  return (*cache)[count] = std::move(*bytes);
 }
 
 // Args: (document count, decode threads).
 void BM_CatalogOpen(benchmark::State& state) {
-  const std::string& bytes = CatalogImage(
-      static_cast<int>(state.range(0)),
-      model::DocumentPayloadFormat::kColumnar);
+  const std::string& bytes =
+      CatalogImage(static_cast<int>(state.range(0)));
   store::CatalogLoadOptions options;
   options.threads = static_cast<unsigned>(state.range(1));
   for (auto _ : state) {
@@ -249,15 +190,14 @@ BENCHMARK(BM_CatalogOpen)
     ->Args({8, 8})
     ->Unit(benchmark::kMillisecond);
 
-// Zero-copy catalog open: same fan-out, but every DOC2 section is
+// Zero-copy catalog open: same fan-out, but every document is
 // decoded as a view-backed document borrowing from the image —
 // per-document copied bytes sit at zero (counter) and the open is
 // dominated by the directory scan plus validation.
 // Args: (document count, decode threads).
 void BM_CatalogOpenView(benchmark::State& state) {
-  const std::string& bytes = CatalogImage(
-      static_cast<int>(state.range(0)),
-      model::DocumentPayloadFormat::kColumnar);
+  const std::string& bytes =
+      CatalogImage(static_cast<int>(state.range(0)));
   store::CatalogLoadStats stats;
   store::CatalogLoadOptions options;
   options.threads = static_cast<unsigned>(state.range(1));
@@ -285,26 +225,6 @@ BENCHMARK(BM_CatalogOpenView)
     ->Args({8, 2})
     ->Args({8, 4})
     ->Args({8, 8})
-    ->Unit(benchmark::kMillisecond);
-
-// The serial row-oriented reference: what an 8-document store paid
-// before this PR series (legacy payload, one decode thread).
-void BM_CatalogOpenDoc0Serial(benchmark::State& state) {
-  const std::string& bytes = CatalogImage(
-      static_cast<int>(state.range(0)),
-      model::DocumentPayloadFormat::kRowOriented);
-  store::CatalogLoadOptions options;
-  options.threads = 1;
-  for (auto _ : state) {
-    auto catalog = store::Catalog::LoadFromBytes(bytes, options);
-    MEETXML_CHECK_OK(catalog.status());
-    benchmark::DoNotOptimize(catalog);
-  }
-  state.counters["docs"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_CatalogOpenDoc0Serial)
-    ->Arg(1)
-    ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

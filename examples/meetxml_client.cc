@@ -132,10 +132,6 @@ int RunStats(int fd) {
               static_cast<unsigned long long>(stats.request_errors),
               static_cast<unsigned long long>(stats.sessions_active),
               static_cast<unsigned long long>(stats.sessions_evicted));
-  if (stats.version < 2) {
-    std::printf("(v1 server: no histogram summaries)\n");
-    return 0;
-  }
   std::printf("\n%-44s %10s %12s %8s %8s %8s\n", "histogram", "count",
               "sum", "p50", "p90", "p99");
   for (const server::StatsHistogramEntry& entry : stats.histograms) {

@@ -100,8 +100,7 @@ bool OpenFile(store::Catalog* catalog, const std::string& path) {
     store::CatalogLoadStats stats;
     store::CatalogLoadOptions options;
     options.stats = &stats;
-    // Zero-copy open: documents borrow from the pinned file mapping
-    // (legacy DOC0/DOC1 sections silently fall back to copying).
+    // Zero-copy open: documents borrow from the pinned file mapping.
     options.mode = model::LoadMode::kView;
     auto loaded = store::Catalog::LoadFromFile(path, options);
     if (!loaded.ok()) {
@@ -117,14 +116,11 @@ bool OpenFile(store::Catalog* catalog, const std::string& path) {
     std::printf("loaded store image: %zu document(s) in %.2f ms "
                 "(%u decode thread(s))\n",
                 catalog->size(), stats.total_ms, stats.threads_used);
-    // Per-document decode report: who pays the legacy DOC0/DOC1 copy
-    // tax, who borrows zero-copy from the mapping, who reloads a
-    // persisted index.
+    // Per-document decode report: who borrows zero-copy from the
+    // mapping, who copies, who reloads a persisted index.
     for (const auto& doc_stats : stats.documents) {
-      std::printf("  %-20s %-8s %8.2f ms  %s, %s copied / %s mapped%s\n",
-                  doc_stats.name.c_str(),
-                  doc_stats.columnar ? "columnar" : "DOC0",
-                  doc_stats.decode_ms,
+      std::printf("  %-20s %8.2f ms  %s, %s copied / %s mapped%s\n",
+                  doc_stats.name.c_str(), doc_stats.decode_ms,
                   doc_stats.mode == model::LoadMode::kView ? "view"
                                                            : "copy",
                   FormatBytes(doc_stats.bytes_copied).c_str(),

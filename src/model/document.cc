@@ -205,46 +205,23 @@ util::Status StoredDocument::CheckNodeColumns(
   return Status::OK();
 }
 
-void StoredDocument::DeriveEdgeRelations() {
-  // Derive the per-path edge relations in one counted pass instead of
-  // a push_back per node; edge_paths_ keeps first-appearance order,
-  // exactly what the append path would have produced. (The edges are
-  // derived structures, so they are always owned — view-backed
-  // documents only borrow the raw columns they were decoded from.)
-  std::vector<uint32_t> per_path(paths_.size(), 0);
-  PathId max_path = 0;
-  for (size_t i = 0; i < path_.size(); ++i) {
-    if (per_path[path_[i]]++ == 0) edge_paths_.push_back(path_[i]);
-    max_path = std::max(max_path, path_[i]);
-  }
-  edges_.resize(max_path + 1);
-  for (PathId p : edge_paths_) edges_[p].Reserve(per_path[p]);
-  for (size_t i = 0; i < path_.size(); ++i) {
-    edges_[path_[i]].Append(parent_[i], static_cast<Oid>(i));
-  }
-  finalized_ = false;
-}
-
 util::Status StoredDocument::AdoptNodeColumns(std::vector<Oid> parents,
                                               std::vector<PathId> paths,
-                                              std::vector<int> ranks,
-                                              bool derive_edges) {
+                                              std::vector<int> ranks) {
   MEETXML_RETURN_NOT_OK(CheckNodeColumns(parents, paths, ranks.size()));
   parent_.Adopt(std::move(parents));
   path_.Adopt(std::move(paths));
   rank_.Adopt(std::move(ranks));
-  if (derive_edges) DeriveEdgeRelations();
   return Status::OK();
 }
 
 util::Status StoredDocument::AdoptNodeColumnViews(
     std::span<const Oid> parents, std::span<const PathId> paths,
-    std::span<const int> ranks, bool derive_edges) {
+    std::span<const int> ranks) {
   MEETXML_RETURN_NOT_OK(CheckNodeColumns(parents, paths, ranks.size()));
   parent_.SetView(parents);
   path_.SetView(paths);
   rank_.SetView(ranks);
-  if (derive_edges) DeriveEdgeRelations();
   return Status::OK();
 }
 
@@ -336,8 +313,8 @@ util::Status StoredDocument::AdoptDerivedColumns(
   }
   if (!edge_paths_.empty()) {
     return Status::InvalidArgument(
-        "edge relations already derived; adopt node columns with "
-        "derive_edges = false to use persisted derived columns");
+        "derived columns adopted into a document that already has edge "
+        "relations");
   }
   if (derived.child_offsets.size() != n + 1) {
     return Status::InvalidArgument("children CSR offset count mismatch");

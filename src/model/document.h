@@ -209,24 +209,21 @@ class StoredDocument {
   // Loaders pin the backing mapping into the document with PinBacking
   // so the contract holds by construction.
 
-  /// \brief Installs the three per-OID columns at once and (by
-  /// default) derives the per-path edge relations. Requires an empty
-  /// document, equal column lengths, a parentless node 0 and
+  /// \brief Installs the three per-OID columns at once. Requires an
+  /// empty document, equal column lengths, a parentless node 0 and
   /// parents[i] < i for i > 0 (DFS order); every path id must be
-  /// interned in paths(). Pass derive_edges = false when a persisted
-  /// DRV1 section will supply the edge relations via
-  /// AdoptDerivedColumns instead.
+  /// interned in paths(). The per-path edge relations arrive later,
+  /// with the rest of the derived structures, via
+  /// AdoptDerivedColumns.
   util::Status AdoptNodeColumns(std::vector<Oid> parents,
                                 std::vector<PathId> paths,
-                                std::vector<int> ranks,
-                                bool derive_edges = true);
+                                std::vector<int> ranks);
 
   /// \brief View-mode AdoptNodeColumns: same validation, but the
   /// columns borrow from the caller's bytes instead of copying.
   util::Status AdoptNodeColumnViews(std::span<const Oid> parents,
                                     std::span<const PathId> paths,
-                                    std::span<const int> ranks,
-                                    bool derive_edges = true);
+                                    std::span<const int> ranks);
 
   /// \brief Installs one path's entire string relation: owner column,
   /// cumulative value end-offsets, the concatenated value blob, and
@@ -251,9 +248,8 @@ class StoredDocument {
 
   /// \brief Installs precomputed derived structures (children CSR,
   /// per-path edge relations, string sortedness) in place of
-  /// Finalize() — the DRV1 fast path. Requires node columns already
-  /// adopted with derive_edges = false and every string relation
-  /// already in place. Only O(1) framing is verified here (span
+  /// Finalize() — the DRV1 path. Requires node columns already
+  /// adopted and every string relation already in place. Only O(1) framing is verified here (span
   /// lengths, path ranges, row totals); the deep cross-checks —
   /// CSR inversion, exactly-once coverage, group ordering — live in
   /// ValidateDerivedStructures (model/validate.h), which loaders run
@@ -354,7 +350,6 @@ class StoredDocument {
   util::Status CheckNodeColumns(std::span<const Oid> parents,
                                 std::span<const PathId> paths,
                                 size_t rank_count) const;
-  void DeriveEdgeRelations();
   util::Status CheckStringRelation(PathId path, std::span<const Oid> owners,
                                    std::span<const uint32_t> ends,
                                    size_t blob_size, size_t seq_count,

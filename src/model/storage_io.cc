@@ -21,30 +21,13 @@ using util::Status;
 
 namespace {
 
-constexpr char kMagicV1[4] = {'M', 'X', 'M', '1'};
-constexpr char kMagicV2[4] = {'M', 'X', 'M', '2'};
-constexpr uint32_t kMinorV1 = 1;
-constexpr uint32_t kMinorV2 = 2;
-// The minor revision unaligned columnar (DOC1) document sections
-// require.
-constexpr uint32_t kMinorV2Columnar = 4;
-// The minor revision aligned columnar (DOC2) sections require; also
-// the first minor whose container aligns section payloads to 4-byte
-// file offsets.
-constexpr uint32_t kMinorV2AlignedColumnar = 5;
-// The minor revision DRV1 derived-columns sections require; also the
-// first minor with the trailing, patchable directory (in-place
-// incremental rewrite).
-constexpr uint32_t kMinorV2Derived = 6;
-// Newest MXM2 minor a reader accepts; 3 added multi-document catalog
-// images (several document sections + a CTLG directory,
-// store/catalog.h), 4 added the columnar DOC1 payload, 5 added the
-// aligned DOC2 payload and container section alignment, 6 added DRV1
-// derived-columns sections and the trailing directory.
-constexpr uint32_t kMaxMinorV2 = 6;
-// Fixed header size of a minor-6 container: magic + u32 version +
-// u64 dir_offset. Sections start at or after this offset.
-constexpr uint64_t kHeaderSizeV6 = 16;
+constexpr char kMagic[4] = {'M', 'X', 'M', '2'};
+// The one minor revision written and read: DOC2 + DRV1 sections behind
+// a trailing, patchable directory.
+constexpr uint32_t kMinor = 6;
+// Fixed header size: magic + u32 minor + u64 dir_offset. Sections
+// start at or after this offset.
+constexpr uint64_t kHeaderSize = 16;
 // Corruption guard: a directory claiming more sections than this is
 // rejected before any allocation happens. Sized for catalogs of a few
 // ten-thousand documents (3 sections each: DOC2 + DRV1 + TIDX); at 28
@@ -55,24 +38,14 @@ constexpr uint32_t kMaxSections = 65536;
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
 
-uint64_t Fnv1a(std::string_view bytes) {
-  uint64_t hash = kFnvOffset;
-  for (unsigned char c : bytes) {
-    hash ^= c;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-// Section checksum for minor >= 4 images: FNV-1a steps over 8-byte
-// chunks in four interleaved lanes, lanes folded and the tail absorbed
+// Section and directory checksum: FNV-1a steps over 8-byte chunks in
+// four interleaved lanes, lanes folded and the tail absorbed
 // byte-wise. Byte-serial FNV-1a is latency-bound at one multiply per
-// byte (~0.5 GB/s) and was costing more than the columnar decode it
+// byte (~0.5 GB/s) and would cost more than the columnar decode it
 // guards; the four independent lanes run at memory speed while any
 // flipped chunk still lands in its lane and survives the fold into the
-// final 64-bit compare. Images up to minor 3 keep the byte-serial
-// checksum so every existing image verifies unchanged.
-uint64_t Fnv1aLanes(std::string_view bytes) {
+// final 64-bit compare.
+uint64_t Checksum(std::string_view bytes) {
   uint64_t lanes[4] = {kFnvOffset, kFnvOffset ^ 1, kFnvOffset ^ 2,
                        kFnvOffset ^ 3};
   const char* data = bytes.data();
@@ -94,11 +67,7 @@ uint64_t Fnv1aLanes(std::string_view bytes) {
   return hash;
 }
 
-uint64_t SectionChecksum(uint32_t minor, std::string_view bytes) {
-  return minor >= kMinorV2Columnar ? Fnv1aLanes(bytes) : Fnv1a(bytes);
-}
-
-// The columnar codecs memcpy (or view) whole integer columns; these
+// The DOC2 and DRV1 codecs memcpy (or view) whole integer columns; these
 // pin the in-memory element widths and byte order the raw
 // little-endian arrays assume (big-endian hosts would need byte swaps
 // here).
@@ -127,14 +96,14 @@ Result<std::vector<T>> ReadU32Column(ByteReader* reader, size_t count) {
 
 // Reinterprets the next `count` u32 values as a typed span over the
 // image — the zero-copy read. Callers guarantee 4-byte alignment
-// (DOC2 pads for it; CanViewPayload checks the base pointer).
+// (DOC2 pads for it; the decoder checks the base pointer).
 template <typename T>
 Result<std::span<const T>> ViewU32Column(ByteReader* reader, size_t count) {
   MEETXML_ASSIGN_OR_RETURN(std::string_view raw, reader->View(count * 4));
   return std::span<const T>(reinterpret_cast<const T*>(raw.data()), count);
 }
 
-// --- Path summary (shared by all payload codecs) ----------------------
+// --- DOC2: the document payload ----------------------------------------
 
 void SerializePathSummary(const PathSummary& paths, ByteWriter* payload) {
   // In id order (parents first by construction).
@@ -170,111 +139,14 @@ Result<uint32_t> ParsePathSummary(ByteReader* reader, StoredDocument* doc) {
   return path_count;
 }
 
-// --- DOC0: row-oriented payload ---------------------------------------
-
-std::string SerializeRowDocumentPayload(const StoredDocument& doc) {
+std::string SerializeDocumentPayload(const StoredDocument& doc) {
   ByteWriter payload;
   SerializePathSummary(doc.paths(), &payload);
-  // Node columns.
-  payload.U32(static_cast<uint32_t>(doc.node_count()));
-  for (Oid oid = 0; oid < doc.node_count(); ++oid) {
-    payload.U32(doc.parent(oid));
-  }
-  for (Oid oid = 0; oid < doc.node_count(); ++oid) {
-    payload.U32(doc.path(oid));
-  }
-  for (Oid oid = 0; oid < doc.node_count(); ++oid) {
-    payload.U32(static_cast<uint32_t>(doc.rank(oid)));
-  }
-  // String associations, in global append order (preserves per-element
-  // attribute order on reload).
-  auto strings = doc.StringsInAppendOrder();
-  payload.U32(static_cast<uint32_t>(strings.size()));
-  for (const auto& [path, owner, value] : strings) {
-    payload.U32(path);
-    payload.U32(owner);
-    payload.StrU32(value);
-  }
-  return payload.Take();
-}
-
-Result<StoredDocument> ParseRowDocumentPayload(std::string_view payload,
-                                               const LoadOptions& options) {
-  ByteReader reader(payload);
-  StoredDocument doc;
-  MEETXML_ASSIGN_OR_RETURN(uint32_t path_count,
-                           ParsePathSummary(&reader, &doc));
-
-  MEETXML_ASSIGN_OR_RETURN(uint32_t node_count, reader.U32());
-  if (node_count > reader.remaining() / 4) {
-    return Status::InvalidArgument("corrupt image: node count");
-  }
-  std::vector<Oid> parents(node_count);
-  std::vector<PathId> node_paths(node_count);
-  std::vector<uint32_t> ranks(node_count);
-  for (uint32_t i = 0; i < node_count; ++i) {
-    MEETXML_ASSIGN_OR_RETURN(parents[i], reader.U32());
-  }
-  for (uint32_t i = 0; i < node_count; ++i) {
-    MEETXML_ASSIGN_OR_RETURN(node_paths[i], reader.U32());
-    if (node_paths[i] >= path_count) {
-      return Status::InvalidArgument("corrupt image: node path id");
-    }
-  }
-  for (uint32_t i = 0; i < node_count; ++i) {
-    MEETXML_ASSIGN_OR_RETURN(ranks[i], reader.U32());
-  }
-  doc.ReserveNodes(node_count);
-  for (uint32_t i = 0; i < node_count; ++i) {
-    if (i > 0 && parents[i] >= i) {
-      return Status::InvalidArgument(
-          "corrupt image: parent OIDs must precede children");
-    }
-    doc.AppendNode(node_paths[i], parents[i],
-                   static_cast<int>(ranks[i]));
-  }
-
-  MEETXML_ASSIGN_OR_RETURN(uint32_t string_count, reader.U32());
-  uint64_t value_bytes = 0;
-  for (uint32_t i = 0; i < string_count; ++i) {
-    MEETXML_ASSIGN_OR_RETURN(uint32_t path, reader.U32());
-    if (path >= path_count) {
-      return Status::InvalidArgument("corrupt image: string path id");
-    }
-    MEETXML_ASSIGN_OR_RETURN(uint32_t owner, reader.U32());
-    MEETXML_ASSIGN_OR_RETURN(std::string_view value, reader.StrViewU32());
-    if (owner >= node_count) {
-      return Status::InvalidArgument("corrupt image: string owner");
-    }
-    value_bytes += value.size();
-    doc.AppendString(path, owner, value);
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in storage image");
-  }
-
-  MEETXML_RETURN_NOT_OK(doc.Finalize());
-  if (options.stats != nullptr) {
-    // Rows replay through the append path: every column value and
-    // string byte is copied out of the image.
-    options.stats->bytes_copied +=
-        uint64_t{12} * node_count + uint64_t{8} * string_count + value_bytes;
-    options.stats->mode_used = LoadMode::kCopy;
-  }
-  return doc;
-}
-
-// --- DOC1/DOC2: columnar payloads -------------------------------------
-
-std::string SerializeColumnarDocumentPayload(const StoredDocument& doc,
-                                             bool aligned) {
-  ByteWriter payload;
-  SerializePathSummary(doc.paths(), &payload);
-  // DOC2 pads so every raw u32 column below lands on a 4-byte payload
-  // offset (the container aligns the payload itself); after the path
-  // summary and after each variable-length blob are the only two spots
-  // where alignment can break.
-  if (aligned) payload.AlignTo4();
+  // Pad so every raw u32 column below lands on a 4-byte payload offset
+  // (the container aligns the payload itself); after the path summary
+  // and after each variable-length blob are the only two spots where
+  // alignment can break.
+  payload.AlignTo4();
   // Node columns as raw arrays — the reader memcpys (or views) them.
   payload.U32(static_cast<uint32_t>(doc.node_count()));
   payload.Bytes(ColumnBytes(doc.parent_column()));
@@ -293,29 +165,17 @@ std::string SerializeColumnarDocumentPayload(const StoredDocument& doc,
     payload.Bytes(ColumnBytes(doc.StringSeqAt(path)));
     payload.Bytes(ColumnBytes(table.tail_ends()));
     payload.Bytes(table.tail_blob());
-    if (aligned) payload.AlignTo4();
+    payload.AlignTo4();
   }
   return payload.Take();
 }
 
-// True when a view-mode decode can actually borrow: the payload must
-// be the aligned codec and sit on a 4-byte base address (the framed
-// offsets take care of the rest). In-memory buffers and mapped files
-// are always suitably aligned in practice; the check is the safety
-// net that turns an exotic caller into a silent copy instead of
-// undefined behavior.
-bool CanViewPayload(std::string_view payload, bool aligned,
-                    const LoadOptions& options) {
-  return aligned && options.mode == LoadMode::kView &&
-         reinterpret_cast<uintptr_t>(payload.data()) % 4 == 0;
-}
-
 // Parses a DRV1 payload (spans over `payload`) and adopts it into
-// `doc`, which must already hold its node columns (adopted with
-// derive_edges = false) and string relations. `view` requests
+// `doc`, which must already hold its node columns and string
+// relations. `view` requests
 // borrowed adoption; an unaligned payload base silently downgrades to
-// copy (mirroring CanViewPayload's safety net — all-u32 framing keeps
-// every interior offset aligned once the base is).
+// copy (the same safety net the DOC2 decode has — all-u32 framing
+// keeps every interior offset aligned once the base is).
 Status AdoptDerivedFromPayload(std::string_view payload, bool view,
                                StoredDocument* doc, uint64_t* viewed,
                                uint64_t* copied) {
@@ -396,10 +256,16 @@ Status AdoptDerivedFromPayload(std::string_view payload, bool view,
   return Status::OK();
 }
 
-Result<StoredDocument> ParseColumnarDocumentPayload(
-    std::string_view payload, bool aligned, const LoadOptions& options,
-    const std::string_view* derived_payload = nullptr) {
-  bool view = CanViewPayload(payload, aligned, options);
+Result<StoredDocument> ParseDocumentPayload(std::string_view payload,
+                                           std::string_view derived_payload,
+                                           const LoadOptions& options) {
+  // A view-mode decode borrows only from a 4-byte aligned base (the
+  // framed offsets take care of the rest). In-memory buffers and
+  // mapped files are always suitably aligned in practice; the check is
+  // the safety net that turns an exotic caller into a silent copy
+  // instead of undefined behavior.
+  bool view = options.mode == LoadMode::kView &&
+              reinterpret_cast<uintptr_t>(payload.data()) % 4 == 0;
   bool defer = options.defer_validation;
   uint64_t borrowed = 0;  // column/blob bytes served as views
   uint64_t copied = 0;    // column/blob bytes memcpy'd out of the image
@@ -408,16 +274,13 @@ Result<StoredDocument> ParseColumnarDocumentPayload(
   MEETXML_ASSIGN_OR_RETURN(uint32_t path_count,
                            ParsePathSummary(&reader, &doc));
   (void)path_count;  // the adopt calls re-check against paths().
-  if (aligned) MEETXML_RETURN_NOT_OK(reader.AlignTo4());
+  MEETXML_RETURN_NOT_OK(reader.AlignTo4());
 
   MEETXML_ASSIGN_OR_RETURN(uint32_t node_count, reader.U32());
   // Guard before allocating: three 4-byte columns per node.
   if (node_count > reader.remaining() / 12) {
     return Status::InvalidArgument("corrupt image: node count");
   }
-  // When a DRV1 section supplies the edge relations, the decode skips
-  // deriving them from the parent column.
-  bool derive_edges = derived_payload == nullptr;
   Status adopted = Status::OK();
   if (view) {
     MEETXML_ASSIGN_OR_RETURN(std::span<const Oid> parents,
@@ -426,8 +289,7 @@ Result<StoredDocument> ParseColumnarDocumentPayload(
                              ViewU32Column<PathId>(&reader, node_count));
     MEETXML_ASSIGN_OR_RETURN(std::span<const int> ranks,
                              ViewU32Column<int>(&reader, node_count));
-    adopted = doc.AdoptNodeColumnViews(parents, node_paths, ranks,
-                                       derive_edges);
+    adopted = doc.AdoptNodeColumnViews(parents, node_paths, ranks);
     borrowed += uint64_t{12} * node_count;
   } else {
     MEETXML_ASSIGN_OR_RETURN(std::vector<Oid> parents,
@@ -437,7 +299,7 @@ Result<StoredDocument> ParseColumnarDocumentPayload(
     MEETXML_ASSIGN_OR_RETURN(std::vector<int> ranks,
                              ReadU32Column<int>(&reader, node_count));
     adopted = doc.AdoptNodeColumns(std::move(parents), std::move(node_paths),
-                                   std::move(ranks), derive_edges);
+                                   std::move(ranks));
     copied += uint64_t{12} * node_count;
   }
   if (!adopted.ok()) {
@@ -476,7 +338,7 @@ Result<StoredDocument> ParseColumnarDocumentPayload(
     std::memcpy(&blob_size, ends_raw.data() + (uint64_t{rows} - 1) * 4, 4);
     MEETXML_ASSIGN_OR_RETURN(std::string_view blob,
                              reader.View(blob_size));
-    if (aligned) MEETXML_RETURN_NOT_OK(reader.AlignTo4());
+    MEETXML_RETURN_NOT_OK(reader.AlignTo4());
     if (!defer) {
       for (uint32_t r = 0; r < rows; ++r) {
         uint32_t seq;
@@ -529,21 +391,17 @@ Result<StoredDocument> ParseColumnarDocumentPayload(
     return Status::InvalidArgument("trailing bytes in storage image");
   }
 
-  if (derived_payload != nullptr) {
-    MEETXML_RETURN_NOT_OK(AdoptDerivedFromPayload(*derived_payload, view,
-                                                  &doc, &borrowed, &copied));
-    // Eagerly cross-check the adopted structures unless deferred —
-    // the one deep scan the persisted-derived fast path keeps, so a
-    // default (eager) load stays exactly as corruption-proof as the
-    // rebuild path it replaces.
-    if (!defer) {
-      Status valid = ValidateDerivedStructures(doc);
-      if (!valid.ok()) {
-        return Status::InvalidArgument("corrupt image: ", valid.message());
-      }
+  MEETXML_RETURN_NOT_OK(
+      AdoptDerivedFromPayload(derived_payload, view, &doc, &borrowed,
+                              &copied));
+  // Eagerly cross-check the adopted structures unless deferred, so a
+  // default (eager) load is exactly as corruption-proof as rebuilding
+  // them with Finalize() would be.
+  if (!defer) {
+    Status valid = ValidateDerivedStructures(doc);
+    if (!valid.ok()) {
+      return Status::InvalidArgument("corrupt image: ", valid.message());
     }
-  } else {
-    MEETXML_RETURN_NOT_OK(doc.Finalize());
   }
   if (defer) doc.MarkUnvalidated();
   if (view) doc.PinBacking(options.backing);
@@ -555,35 +413,10 @@ Result<StoredDocument> ParseColumnarDocumentPayload(
   return doc;
 }
 
-std::string SerializeDocumentPayload(const StoredDocument& doc,
-                                     DocumentPayloadFormat format) {
-  switch (format) {
-    case DocumentPayloadFormat::kRowOriented:
-      return SerializeRowDocumentPayload(doc);
-    case DocumentPayloadFormat::kColumnarUnaligned:
-      return SerializeColumnarDocumentPayload(doc, /*aligned=*/false);
-    case DocumentPayloadFormat::kColumnar:
-      break;
-  }
-  return SerializeColumnarDocumentPayload(doc, /*aligned=*/true);
-}
-
-uint32_t MinorForPayloadFormat(DocumentPayloadFormat format) {
-  switch (format) {
-    case DocumentPayloadFormat::kRowOriented:
-      return kMinorV2;
-    case DocumentPayloadFormat::kColumnarUnaligned:
-      return kMinorV2Columnar;
-    case DocumentPayloadFormat::kColumnar:
-      break;
-  }
-  return kMinorV2AlignedColumnar;
-}
-
-// Serializes a minor-6 directory (count + entries, without its
+// Serializes a directory (count + entries, without its
 // trailing checksum field) — shared by the full writer and the
 // in-place appender so the two always publish identical framing.
-std::string SerializeDirectoryV6(const std::vector<SectionPlacement>& entries) {
+std::string SerializeDirectory(const std::vector<SectionPlacement>& entries) {
   ByteWriter dir;
   dir.U32(static_cast<uint32_t>(entries.size()));
   for (const SectionPlacement& entry : entries) {
@@ -595,88 +428,49 @@ std::string SerializeDirectoryV6(const std::vector<SectionPlacement>& entries) {
   return dir.Take();
 }
 
-// Shared v2 container writer; takes pointers so callers can mix owned
-// and borrowed sections without copying payloads.
+// Shared container writer; takes pointers so callers can mix owned
+// and borrowed sections without copying payloads. Layout: header with
+// a directory pointer, 4-aligned payloads, then the checksummed
+// directory. The pointer is patched last — the same single-word commit
+// an in-place rewrite uses.
 Result<std::string> WriteContainer(
-    const std::vector<const ImageSection*>& sections, uint32_t minor) {
-  if (minor < kMinorV2 || minor > kMaxMinorV2) {
-    return Status::InvalidArgument("unknown MXM2 minor revision ", minor);
-  }
+    const std::vector<const ImageSection*>& sections) {
   if (sections.empty() || sections.size() > kMaxSections) {
     return Status::InvalidArgument("bad section count: ", sections.size());
   }
-  if (minor >= kMinorV2Derived) {
-    // Trailing-directory layout: header with a directory pointer,
-    // 4-aligned payloads, then the checksummed directory. The pointer
-    // is patched last — the same single-word commit an in-place
-    // rewrite uses.
-    ByteWriter header;
-    for (char c : kMagicV2) header.U8(static_cast<uint8_t>(c));
-    header.U32(minor);
-    header.U64(0);  // dir_offset, patched below
-    std::string image = header.Take();
-    std::vector<SectionPlacement> placements;
-    placements.reserve(sections.size());
-    for (const ImageSection* section : sections) {
-      while (image.size() % 4 != 0) image.push_back('\0');
-      placements.push_back(SectionPlacement{
-          section->id, image.size(), section->bytes.size(),
-          SectionChecksum(minor, section->bytes)});
-      image += section->bytes;
-    }
+  ByteWriter header;
+  for (char c : kMagic) header.U8(static_cast<uint8_t>(c));
+  header.U32(kMinor);
+  header.U64(0);  // dir_offset, patched below
+  std::string image = header.Take();
+  std::vector<SectionPlacement> placements;
+  placements.reserve(sections.size());
+  for (const ImageSection* section : sections) {
     while (image.size() % 4 != 0) image.push_back('\0');
-    uint64_t dir_offset = image.size();
-    std::string dir_bytes = SerializeDirectoryV6(placements);
-    image += dir_bytes;
-    ByteWriter tail;
-    tail.U64(SectionChecksum(minor, dir_bytes));
-    image += tail.Take();
-    std::memcpy(image.data() + 8, &dir_offset, 8);
-    return image;
-  }
-  ByteWriter out;
-  for (char c : kMagicV2) out.U8(static_cast<uint8_t>(c));
-  out.U32(minor);
-  out.U32(static_cast<uint32_t>(sections.size()));
-  for (const ImageSection* section : sections) {
-    out.U32(section->id);
-    out.U64(section->bytes.size());
-    out.U64(SectionChecksum(minor, section->bytes));
-  }
-  std::string image = out.Take();
-  for (const ImageSection* section : sections) {
-    // Minor >= 5 containers start every payload on a 4-byte file
-    // offset so aligned (DOC2) payloads stay aligned after the
-    // variable-length sections before them.
-    if (minor >= kMinorV2AlignedColumnar) {
-      while (image.size() % 4 != 0) image.push_back('\0');
-    }
+    placements.push_back(SectionPlacement{section->id, image.size(),
+                                          section->bytes.size(),
+                                          Checksum(section->bytes)});
     image += section->bytes;
   }
+  while (image.size() % 4 != 0) image.push_back('\0');
+  uint64_t dir_offset = image.size();
+  std::string dir_bytes = SerializeDirectory(placements);
+  image += dir_bytes;
+  ByteWriter tail;
+  tail.U64(Checksum(dir_bytes));
+  image += tail.Take();
+  std::memcpy(image.data() + 8, &dir_offset, 8);
   return image;
 }
 
 }  // namespace
 
-uint32_t DocumentSectionIdFor(DocumentPayloadFormat format) {
-  switch (format) {
-    case DocumentPayloadFormat::kRowOriented:
-      return kDocumentSectionId;
-    case DocumentPayloadFormat::kColumnarUnaligned:
-      return kColumnarDocumentSectionId;
-    case DocumentPayloadFormat::kColumnar:
-      break;
-  }
-  return kAlignedColumnarDocumentSectionId;
-}
-
-Result<std::string> SerializeDocumentSection(const StoredDocument& doc,
-                                             DocumentPayloadFormat format) {
+Result<std::string> SerializeDocumentSection(const StoredDocument& doc) {
   if (!doc.finalized()) {
     return Status::InvalidArgument(
         "only finalized documents can be saved");
   }
-  return SerializeDocumentPayload(doc, format);
+  return SerializeDocumentPayload(doc);
 }
 
 Result<std::string> SerializeDerivedSection(const StoredDocument& doc) {
@@ -704,59 +498,18 @@ Result<std::string> SerializeDerivedSection(const StoredDocument& doc) {
   return payload.Take();
 }
 
-Result<StoredDocument> ParseDocumentSection(std::string_view payload,
-                                            const LoadOptions& options) {
-  return ParseRowDocumentPayload(payload, options);
-}
-
-Result<StoredDocument> ParseColumnarDocumentSection(
-    std::string_view payload, const LoadOptions& options) {
-  return ParseColumnarDocumentPayload(payload, /*aligned=*/false, options);
-}
-
-Result<StoredDocument> ParseAlignedColumnarDocumentSection(
-    std::string_view payload, const LoadOptions& options) {
-  return ParseColumnarDocumentPayload(payload, /*aligned=*/true, options);
-}
-
-Result<StoredDocument> ParseAnyDocumentSection(uint32_t section_id,
-                                               std::string_view payload,
-                                               const LoadOptions& options) {
-  if (section_id == kAlignedColumnarDocumentSectionId) {
-    return ParseColumnarDocumentPayload(payload, /*aligned=*/true, options);
-  }
-  if (section_id == kColumnarDocumentSectionId) {
-    return ParseColumnarDocumentPayload(payload, /*aligned=*/false,
-                                        options);
-  }
-  if (section_id == kDocumentSectionId) {
-    return ParseRowDocumentPayload(payload, options);
-  }
-  return Status::InvalidArgument("not a document section id: ",
-                                 section_id);
-}
-
-Result<StoredDocument> ParseDocumentWithDerived(uint32_t section_id,
-                                                std::string_view payload,
-                                                std::string_view derived_payload,
-                                                const LoadOptions& options) {
-  if (section_id != kAlignedColumnarDocumentSectionId) {
-    // DRV1 spans the document payload's column layout; only the
-    // aligned columnar codec guarantees it.
-    return Status::InvalidArgument(
-        "derived sections pair only with aligned columnar document "
-        "sections");
-  }
-  return ParseColumnarDocumentPayload(payload, /*aligned=*/true, options,
-                                      &derived_payload);
+Result<StoredDocument> ParseDocumentWithDerived(
+    std::string_view payload, std::string_view derived_payload,
+    const LoadOptions& options) {
+  return ParseDocumentPayload(payload, derived_payload, options);
 }
 
 Result<std::string> SaveSectionsToBytes(
-    const std::vector<ImageSection>& sections, uint32_t minor) {
+    const std::vector<ImageSection>& sections) {
   std::vector<const ImageSection*> pointers;
   pointers.reserve(sections.size());
   for (const ImageSection& section : sections) pointers.push_back(&section);
-  return WriteContainer(pointers, minor);
+  return WriteContainer(pointers);
 }
 
 Result<std::string> SaveToBytes(const StoredDocument& doc,
@@ -765,22 +518,17 @@ Result<std::string> SaveToBytes(const StoredDocument& doc,
     return Status::InvalidArgument(
         "only finalized documents can be saved");
   }
-  if (options.format_version != 1 && options.format_version != 2) {
-    return Status::InvalidArgument("unknown storage format version ",
-                                   options.format_version);
-  }
-
   // Reject images the loader itself would refuse: too many sections, a
-  // stray document section or duplicate ids must fail at write time,
-  // not at the next restart.
-  if (options.extra_sections.size() > kMaxSections - 1) {
+  // stray document or derived section or duplicate ids must fail at
+  // write time, not at the next restart.
+  if (options.extra_sections.size() > kMaxSections - 2) {
     return Status::InvalidArgument("too many sections: ",
-                                   options.extra_sections.size() + 1);
+                                   options.extra_sections.size() + 2);
   }
   for (size_t i = 0; i < options.extra_sections.size(); ++i) {
-    if (IsDocumentSectionId(options.extra_sections[i].id)) {
+    if (options.extra_sections[i].id == kDocumentSectionId) {
       return Status::InvalidArgument(
-          "extra sections cannot use a document section id");
+          "extra sections cannot use the document section id");
     }
     if (options.extra_sections[i].id == kDerivedSectionId) {
       return Status::InvalidArgument(
@@ -794,213 +542,96 @@ Result<std::string> SaveToBytes(const StoredDocument& doc,
     }
   }
 
-  if (options.format_version == 1) {
-    if (!options.extra_sections.empty()) {
-      return Status::InvalidArgument(
-          "MXM1 images cannot carry extra sections");
-    }
-    // MXM1 predates the columnar payloads; its single payload is
-    // always row-oriented, whatever payload_format says.
-    std::string body =
-        SerializeDocumentPayload(doc, DocumentPayloadFormat::kRowOriented);
-    ByteWriter header;
-    for (char c : kMagicV1) header.U8(static_cast<uint8_t>(c));
-    header.U32(kMinorV1);
-    header.U64(body.size());
-    header.U64(Fnv1a(body));
-    std::string out = header.Take();
-    out += body;
-    return out;
-  }
-
-  // DRV1 only describes the aligned columnar layout; other payload
-  // formats (kept for rollback) write the previous minors unchanged.
-  bool with_derived =
-      options.derived_section &&
-      options.payload_format == DocumentPayloadFormat::kColumnar;
-  std::string body = SerializeDocumentPayload(doc, options.payload_format);
+  ImageSection document_section{kDocumentSectionId,
+                                SerializeDocumentPayload(doc)};
+  ImageSection derived{kDerivedSectionId, std::string()};
+  MEETXML_ASSIGN_OR_RETURN(derived.bytes, SerializeDerivedSection(doc));
   std::vector<const ImageSection*> pointers;
   pointers.reserve(2 + options.extra_sections.size());
-  ImageSection document_section{DocumentSectionIdFor(options.payload_format),
-                                std::move(body)};
   pointers.push_back(&document_section);
-  ImageSection derived_section{kDerivedSectionId, std::string()};
-  if (with_derived) {
-    MEETXML_ASSIGN_OR_RETURN(derived_section.bytes,
-                             SerializeDerivedSection(doc));
-    pointers.push_back(&derived_section);
-  }
+  pointers.push_back(&derived);
   for (const ImageSection& section : options.extra_sections) {
     pointers.push_back(&section);
   }
-  uint32_t minor = with_derived ? kMinorV2Derived
-                                : MinorForPayloadFormat(options.payload_format);
-  return WriteContainer(pointers, minor);
-}
-
-Result<SectionImage> LoadSectionsFromBytes(std::string_view bytes) {
-  return LoadSectionsFromBytes(bytes, SectionScanOptions{});
+  return WriteContainer(pointers);
 }
 
 Result<SectionImage> LoadSectionsFromBytes(
     std::string_view bytes, const SectionScanOptions& options) {
   ByteReader reader(bytes);
-  char magic[4];
-  for (char& c : magic) {
-    MEETXML_ASSIGN_OR_RETURN(uint8_t byte, reader.U8());
-    c = static_cast<char>(byte);
-  }
-
-  if (std::memcmp(magic, kMagicV1, 4) == 0) {
-    MEETXML_ASSIGN_OR_RETURN(uint32_t version, reader.U32());
-    // Policy: accept every minor up to the newest we know (minors are
-    // backward compatible); MXM1 minors start at 1.
-    if (version < 1 || version > kMinorV1) {
-      return Status::InvalidArgument("unsupported storage version ",
-                                     version);
-    }
-    MEETXML_ASSIGN_OR_RETURN(uint64_t payload_size, reader.U64());
-    MEETXML_ASSIGN_OR_RETURN(uint64_t checksum, reader.U64());
-    size_t header_size = reader.pos();
-    if (payload_size != bytes.size() - header_size) {
-      return Status::InvalidArgument("storage image size mismatch");
-    }
-    std::string_view payload = bytes.substr(header_size);
-    if (options.verify_checksums && Fnv1a(payload) != checksum) {
-      return Status::InvalidArgument("storage image checksum mismatch");
-    }
-    SectionImage image;
-    image.minor = kMinorV1;
-    image.sections.push_back(
-        SectionView{kDocumentSectionId, payload, header_size, checksum});
-    return image;
-  }
-
-  if (std::memcmp(magic, kMagicV2, 4) != 0) {
+  MEETXML_ASSIGN_OR_RETURN(std::string_view magic, reader.View(4));
+  if (magic.substr(0, 3) != "MXM") {
     return Status::InvalidArgument("not a meetxml storage image");
   }
+  // Policy: one layout is read, and nothing else. Retired magics and
+  // minors fail here, before any framing or payload is looked at.
+  if (magic != std::string_view(kMagic, 4)) {
+    return Status::InvalidArgument("unsupported storage version ", magic,
+                                   " (this reader opens MXM2 minor ",
+                                   kMinor, " only)");
+  }
   MEETXML_ASSIGN_OR_RETURN(uint32_t version, reader.U32());
-  // Policy: accept every minor up to the newest we know (minors are
-  // backward compatible); MXM2 minors start at 2.
-  if (version < kMinorV2 || version > kMaxMinorV2) {
-    return Status::InvalidArgument("unsupported storage version ",
-                                   version);
+  if (version != kMinor) {
+    return Status::InvalidArgument("unsupported storage version MXM2 minor ",
+                                   version, " (this reader opens MXM2 minor ",
+                                   kMinor, " only)");
   }
 
-  if (version >= kMinorV2Derived) {
-    // Trailing-directory layout: seek to the directory, verify its
-    // own checksum (the one framing check that always runs — the scan
-    // never trusts unchecked structure), then bounds-check every
-    // entry. Gaps between payloads and bytes after the directory are
-    // dead space by design (alignment padding, superseded sections of
-    // an in-place rewrite, an interrupted append) and carry no
-    // checksum.
-    MEETXML_ASSIGN_OR_RETURN(uint64_t dir_offset, reader.U64());
-    if (dir_offset < kHeaderSizeV6 || dir_offset % 4 != 0 ||
-        dir_offset > bytes.size() || bytes.size() - dir_offset < 12) {
-      return Status::InvalidArgument(
-          "corrupt image: bad directory offset");
-    }
-    ByteReader dir(bytes);
-    dir.set_pos(static_cast<size_t>(dir_offset));
-    MEETXML_ASSIGN_OR_RETURN(uint32_t section_count, dir.U32());
-    if (section_count == 0 || section_count > kMaxSections) {
-      return Status::InvalidArgument("corrupt image: section count ",
-                                     section_count);
-    }
-    std::vector<SectionPlacement> directory(section_count);
-    for (SectionPlacement& entry : directory) {
-      MEETXML_ASSIGN_OR_RETURN(entry.id, dir.U32());
-      MEETXML_ASSIGN_OR_RETURN(entry.offset, dir.U64());
-      MEETXML_ASSIGN_OR_RETURN(entry.size, dir.U64());
-      MEETXML_ASSIGN_OR_RETURN(entry.checksum, dir.U64());
-    }
-    size_t dir_end = dir.pos();
-    MEETXML_ASSIGN_OR_RETURN(uint64_t dir_checksum, dir.U64());
-    std::string_view dir_bytes =
-        bytes.substr(static_cast<size_t>(dir_offset), dir_end - dir_offset);
-    if (SectionChecksum(version, dir_bytes) != dir_checksum) {
-      return Status::InvalidArgument(
-          "corrupt image: directory checksum mismatch");
-    }
-    SectionImage image;
-    image.minor = version;
-    image.dir_offset = dir_offset;
-    image.sections.reserve(section_count);
-    for (const SectionPlacement& entry : directory) {
-      if (entry.offset < kHeaderSizeV6 || entry.offset % 4 != 0 ||
-          entry.offset > dir_offset ||
-          entry.size > dir_offset - entry.offset) {
-        return Status::InvalidArgument("corrupt image: section overruns");
-      }
-      std::string_view payload = bytes.substr(
-          static_cast<size_t>(entry.offset),
-          static_cast<size_t>(entry.size));
-      if (options.verify_checksums &&
-          SectionChecksum(version, payload) != entry.checksum) {
-        return Status::InvalidArgument("storage image checksum mismatch");
-      }
-      image.sections.push_back(
-          SectionView{entry.id, payload, entry.offset, entry.checksum});
-    }
-    return image;
+  // Seek to the directory, verify its own checksum (the one framing
+  // check that always runs — the scan never trusts unchecked
+  // structure), then bounds-check every entry. Gaps between payloads
+  // and bytes after the directory are dead space by design (alignment
+  // padding, superseded sections of an in-place rewrite, an
+  // interrupted append) and carry no checksum.
+  MEETXML_ASSIGN_OR_RETURN(uint64_t dir_offset, reader.U64());
+  if (dir_offset < kHeaderSize || dir_offset % 4 != 0 ||
+      dir_offset > bytes.size() || bytes.size() - dir_offset < 12) {
+    return Status::InvalidArgument("corrupt image: bad directory offset");
   }
-
-  MEETXML_ASSIGN_OR_RETURN(uint32_t section_count, reader.U32());
+  ByteReader dir(bytes);
+  dir.set_pos(static_cast<size_t>(dir_offset));
+  MEETXML_ASSIGN_OR_RETURN(uint32_t section_count, dir.U32());
   if (section_count == 0 || section_count > kMaxSections) {
     return Status::InvalidArgument("corrupt image: section count ",
                                    section_count);
   }
-  struct DirEntry {
-    uint32_t id;
-    uint64_t size;
-    uint64_t checksum;
-  };
-  std::vector<DirEntry> directory(section_count);
-  for (DirEntry& entry : directory) {
-    MEETXML_ASSIGN_OR_RETURN(entry.id, reader.U32());
-    MEETXML_ASSIGN_OR_RETURN(entry.size, reader.U64());
-    MEETXML_ASSIGN_OR_RETURN(entry.checksum, reader.U64());
+  std::vector<SectionPlacement> directory(section_count);
+  for (SectionPlacement& entry : directory) {
+    MEETXML_ASSIGN_OR_RETURN(entry.id, dir.U32());
+    MEETXML_ASSIGN_OR_RETURN(entry.offset, dir.U64());
+    MEETXML_ASSIGN_OR_RETURN(entry.size, dir.U64());
+    MEETXML_ASSIGN_OR_RETURN(entry.checksum, dir.U64());
   }
-
-  // Walk the payloads: for minor >= 5 every payload starts at the
-  // next 4-byte file offset (the padding must be zero); the payloads
-  // plus padding must tile the rest of the image exactly.
+  size_t dir_end = dir.pos();
+  MEETXML_ASSIGN_OR_RETURN(uint64_t dir_checksum, dir.U64());
+  std::string_view dir_bytes =
+      bytes.substr(static_cast<size_t>(dir_offset), dir_end - dir_offset);
+  if (Checksum(dir_bytes) != dir_checksum) {
+    return Status::InvalidArgument(
+        "corrupt image: directory checksum mismatch");
+  }
   SectionImage image;
-  image.minor = version;
+  image.dir_offset = dir_offset;
   image.sections.reserve(section_count);
-  uint64_t offset = reader.pos();
-  for (const DirEntry& entry : directory) {
-    if (version >= kMinorV2AlignedColumnar) {
-      while (offset % 4 != 0) {
-        if (offset >= bytes.size() || bytes[offset] != '\0') {
-          return Status::InvalidArgument(
-              "corrupt image: bad section alignment padding");
-        }
-        ++offset;
-      }
-    }
-    if (entry.size > bytes.size() - offset) {
+  for (const SectionPlacement& entry : directory) {
+    if (entry.offset < kHeaderSize || entry.offset % 4 != 0 ||
+        entry.offset > dir_offset ||
+        entry.size > dir_offset - entry.offset) {
       return Status::InvalidArgument("corrupt image: section overruns");
     }
-    std::string_view payload =
-        bytes.substr(offset, static_cast<size_t>(entry.size));
-    if (options.verify_checksums &&
-        SectionChecksum(version, payload) != entry.checksum) {
+    std::string_view payload = bytes.substr(
+        static_cast<size_t>(entry.offset), static_cast<size_t>(entry.size));
+    if (options.verify_checksums && Checksum(payload) != entry.checksum) {
       return Status::InvalidArgument("storage image checksum mismatch");
     }
     image.sections.push_back(
-        SectionView{entry.id, payload, offset, entry.checksum});
-    offset += entry.size;
-  }
-  if (offset != bytes.size()) {
-    return Status::InvalidArgument("storage image size mismatch");
+        SectionView{entry.id, payload, entry.offset, entry.checksum});
   }
   return image;
 }
 
-Status VerifySectionChecksum(uint32_t minor, const SectionView& section) {
-  if (SectionChecksum(minor, section.bytes) != section.checksum) {
+Status VerifySectionChecksum(const SectionView& section) {
+  if (Checksum(section.bytes) != section.checksum) {
     return Status::InvalidArgument("storage image checksum mismatch");
   }
   return Status::OK();
@@ -1010,11 +641,10 @@ Result<LoadedImage> LoadImageFromBytes(std::string_view bytes,
                                        const LoadOptions& options) {
   MEETXML_ASSIGN_OR_RETURN(SectionImage raw, LoadSectionsFromBytes(bytes));
   LoadedImage image;
-  image.format_version = raw.minor == kMinorV1 ? 1 : 2;
   const SectionView* doc_section = nullptr;
   const SectionView* drv_section = nullptr;
   for (const SectionView& section : raw.sections) {
-    if (IsDocumentSectionId(section.id)) {
+    if (section.id == kDocumentSectionId) {
       if (doc_section != nullptr) {
         return Status::InvalidArgument(
             "corrupt image: duplicate document section");
@@ -1036,17 +666,12 @@ Result<LoadedImage> LoadImageFromBytes(std::string_view bytes,
   if (doc_section == nullptr) {
     return Status::InvalidArgument("corrupt image: no document section");
   }
-  if (drv_section != nullptr) {
-    MEETXML_ASSIGN_OR_RETURN(
-        image.doc,
-        ParseDocumentWithDerived(doc_section->id, doc_section->bytes,
-                                 drv_section->bytes, options));
-  } else {
-    MEETXML_ASSIGN_OR_RETURN(
-        image.doc,
-        ParseAnyDocumentSection(doc_section->id, doc_section->bytes,
-                                options));
+  if (drv_section == nullptr) {
+    return Status::InvalidArgument("corrupt image: no derived section");
   }
+  MEETXML_ASSIGN_OR_RETURN(
+      image.doc, ParseDocumentPayload(doc_section->bytes, drv_section->bytes,
+                                      options));
   return image;
 }
 
@@ -1091,21 +716,21 @@ Result<AppendStats> AppendSectionsToFile(
     return fail(Status::Internal("injected failure opening ", path));
   }
   // Fence: the on-disk image must still be exactly the one the caller
-  // planned against — magic, a trailing-directory minor, the directory
+  // planned against — magic, minor, the directory
   // pointer, and the file size all verbatim — so kept placements and
   // the commit patch stay valid.
-  char header[kHeaderSizeV6];
+  char header[kHeaderSize];
   if (std::fread(header, 1, sizeof header, file) != sizeof header) {
     return fail(Status::InvalidArgument("storage image truncated: ", path));
   }
-  if (std::memcmp(header, kMagicV2, 4) != 0) {
+  if (std::memcmp(header, kMagic, 4) != 0) {
     return fail(Status::InvalidArgument("bad magic in ", path));
   }
   uint32_t minor;
   std::memcpy(&minor, header + 4, 4);
-  if (minor < kMinorV2Derived || minor > kMaxMinorV2) {
+  if (minor != kMinor) {
     return fail(Status::InvalidArgument(
-        "storage minor ", minor, " has no trailing directory"));
+        "unsupported storage version MXM2 minor ", minor, " in ", path));
   }
   uint64_t dir_offset;
   std::memcpy(&dir_offset, header + 8, 8);
@@ -1132,7 +757,7 @@ Result<AppendStats> AppendSectionsToFile(
   for (const PendingSection& section : sections) {
     if (section.keep.has_value()) {
       const SectionPlacement& keep = *section.keep;
-      if (keep.id != section.id || keep.offset < kHeaderSizeV6 ||
+      if (keep.id != section.id || keep.offset < kHeaderSize ||
           keep.offset % 4 != 0 || keep.size > expected_size ||
           keep.offset > expected_size - keep.size) {
         return fail(Status::InvalidArgument(
@@ -1143,16 +768,15 @@ Result<AppendStats> AppendSectionsToFile(
     }
     while (cursor() % 4 != 0) blob.push_back('\0');
     stats.placements.push_back(SectionPlacement{
-        section.id, cursor(), section.bytes.size(),
-        SectionChecksum(minor, section.bytes)});
+        section.id, cursor(), section.bytes.size(), Checksum(section.bytes)});
     blob += section.bytes;
   }
   while (cursor() % 4 != 0) blob.push_back('\0');
   uint64_t new_dir_offset = cursor();
-  std::string dir_bytes = SerializeDirectoryV6(stats.placements);
+  std::string dir_bytes = SerializeDirectory(stats.placements);
   blob += dir_bytes;
   ByteWriter tail;
-  tail.U64(SectionChecksum(minor, dir_bytes));
+  tail.U64(Checksum(dir_bytes));
   blob += tail.Take();
 
   // Each failpoint fires *after* the operation it names, so a

@@ -6,148 +6,64 @@
 // XML. This module serializes the Monet transform — path summary,
 // per-OID columns and per-path string relations — into a compact,
 // versioned, checksummed binary image. Loading an image is a straight
-// column read: no XML parsing, no re-interning. Since MXM2 an image is
-// a sequence of independently checksummed sections, so derived
-// structures (e.g. the full-text indexes, see text/index_io.h) persist
-// alongside the document and reload without a rebuild.
+// column read: no XML parsing, no re-interning, no rebuilt derived
+// structure. An image is a set of independently checksummed sections,
+// so derived structures (the DRV1 columns below, the full-text indexes
+// of text/index_io.h) persist alongside the document and reload
+// without a rebuild.
 //
 // Versioning policy
 // -----------------
-//  * The 4-byte magic carries the major format version ("MXM1",
-//    "MXM2", ...). A major revision may change the container layout
-//    arbitrarily; readers accept every major they know and reject
-//    unknown magics. Writers always emit the newest major unless asked
-//    for an older one via SaveOptions::format_version (supported for
-//    fleet rollbacks; v1 cannot carry extra sections).
-//  * The u32 version field after the magic is the minor revision of
-//    that major. Minor revisions are backward compatible: a reader for
-//    (major, minor) loads every image with the same major and
-//    minor' <= minor. Current minors: MXM1 -> 1, MXM2 -> 6.
-//  * Within MXM2, compatibility evolves by adding sections: a loader
-//    skips section ids it does not recognize (their bytes are surfaced
-//    through LoadedImage::extra_sections), so old readers open new
-//    images as long as the document section is intact. For the
-//    single-document API in this header the document section is
-//    mandatory and unique; writers stamp row-oriented (DOC0) images
-//    minor 2.
-//  * Minor 3 (the multi-document catalog, store/catalog.h) is the
-//    first container-level extension: an image may carry several
-//    document and TIDX sections, tied together by a CTLG section that
-//    names them. Catalog writers stamp minor 3 only when more than one
-//    document is aboard, so single-document catalogs still open under
-//    older minor-2 readers; the single-document loaders below keep
-//    rejecting multi-document-section images ("duplicate document
-//    section").
-//  * Minor 4 introduces the columnar document payload, section id
-//    "DOC1". A DOC1 section replaces a DOC0 section one-for-one (same
-//    document, different payload codec); the minor bump is what stops
-//    a minor-3 reader from opening an image whose only document
-//    section it cannot decode. DOC0 and DOC1 images of the same
-//    document load to byte-identically re-serializable documents
-//    (tests/storage_io_test.cc pins the equivalence).
-//  * Minor 5 introduces the aligned columnar payload, section id
-//    "DOC2" (the writer default), and container-level section
-//    alignment: every raw integer column inside a DOC2 payload — and,
-//    in minor >= 5 images, every section payload in the container —
-//    starts on a 4-byte boundary (zero padding, excluded from section
-//    sizes and checksums). Alignment is what makes true zero-copy
-//    open possible: a view-mode load can hand out typed spans over
-//    the mapped image only if the columns are aligned for their
-//    element type. Writers emit DOC2 by default;
-//    SaveOptions::payload_format pins DOC1 (kColumnarUnaligned, for
-//    minor-4 reader fleets) or DOC0 (kRowOriented, readable
-//    everywhere), and format_version pins MXM1 — every reader keeps
-//    accepting all older layouts.
-//  * Minor 6 makes open time O(directory) instead of O(corpus), with
-//    three coordinated changes:
-//      - The derived-columns section, id "DRV1": the structures
-//        Finalize() used to rebuild on every load — the children CSR,
-//        the per-path edge BATs (the paper's pre-joined path
-//        relations) and the string-relation sortedness flags — persist
-//        next to their document section and are served zero-copy in
-//        view mode. A DRV1 section is an all-u32 payload and always
-//        pairs with a DOC2 section; writers emit one by default
-//        (SaveOptions::derived_section), and every pre-6 image still
-//        loads by rebuilding as before.
-//      - A trailing directory: the u32 section count of minors <= 5 is
-//        replaced by a u64 offset to a directory that lives *after*
-//        the payloads and carries per-section (id, offset, size,
-//        checksum) plus its own checksum. Sections no longer tile the
-//        file — dead gaps and trailing bytes are legal — which is what
-//        makes in-place incremental rewrite possible: an updater
-//        appends replacement sections and a fresh directory, then
-//        patches the one header word to point at it. A crash before
-//        the patch leaves the old directory authoritative and the old
-//        image fully intact; the superseded bytes are dead space until
-//        a compaction rewrite reclaims them.
-//      - Checksum-gated lazy loading: a reader may open the container
-//        verifying only the directory checksum (SectionScanOptions::
-//        verify_checksums = false), defer each section's checksum to
-//        first touch (VerifySectionChecksum), and defer the deep
-//        semantic scans behind the document's validation gate
-//        (LoadOptions::defer_validation + StoredDocument::
-//        EnsureValidated) — so opening a thousand-document catalog
-//        costs the directory walk, nothing else, while corruption
-//        still fails loudly at the gate before any query sees it.
-//  * Every section is length-framed and checksummed independently;
+// There is one on-disk layout, and a reader opens nothing else:
+//  * The image starts with the magic "MXM2" and the u32 minor revision
+//    6. Every other magic that starts with "MXM" (the retired first
+//    major) and every other MXM2 minor (the retired front-directory
+//    minors 2-5) fails at this check with "unsupported storage
+//    version", before any payload is read. Any other magic is "not a
+//    meetxml storage image".
+//  * Each document is a DOC2 section (the aligned columnar payload)
+//    plus a required DRV1 section (its derived columns), optionally
+//    followed by a TIDX section (text/index_io.h). Catalog images
+//    (store/catalog.h) add a CTLG section naming each document's
+//    sections. Loaders skip section ids they do not recognize (their
+//    bytes are surfaced through LoadedImage::extra_sections).
+//  * Every section payload and the directory are framed by the
+//    trailing directory and checked with a four-lane FNV-1a checksum;
 //    loaders verify bounds and checksums before touching a payload
-//    (checksum verification can be deferred — never skipped — on the
-//    lazy path above), and semantic validation (path/OID ranges,
-//    parent ordering, string offsets and the append-order
-//    permutation) runs on every load, eagerly by default or behind
-//    the per-document validation gate when deferred.
-//    Corrupted or truncated images are rejected, never partially
-//    applied (tests/storage_fuzz_test.cc pins this). The checksum
-//    algorithm is keyed by the minor: images up to minor 3 use
-//    byte-serial FNV-1a (bit-compatible with every existing image);
-//    minor-4+ images use a four-lane chunked FNV-1a variant that
-//    verifies at memory speed instead of one multiply per byte —
-//    the container scan must not cost more than the columnar decode
-//    it protects.
+//    (checksum verification can be deferred, never skipped, on the
+//    lazy catalog path), and semantic validation (path/OID ranges,
+//    parent ordering, string offsets, the append-order permutation
+//    and the derived structures) runs on every load, eagerly by
+//    default or behind the per-document validation gate
+//    (LoadOptions::defer_validation + StoredDocument::EnsureValidated)
+//    when deferred. Corrupted or truncated images are rejected, never
+//    partially applied (tests/storage_fuzz_test.cc pins this).
+//  * The trailing directory is what makes in-place incremental
+//    rewrite possible: sections need not tile the file (dead gaps and
+//    trailing bytes are legal), so an updater appends replacement
+//    sections and a fresh directory, then patches the one header word
+//    that points at it. A crash before the patch leaves the old
+//    directory authoritative and the old image intact.
 //
-// MXM1 layout (little-endian):
-//   magic "MXM1" | u32 version | u64 payload_size | u64 fnv1a_checksum
-//   payload: the DOC0 document payload described below
-// MXM2 layout (minors 2-5):
-//   magic "MXM2" | u32 version | u32 section_count
-//   section directory: per section u32 id | u64 size | u64 fnv1a
-//   section payloads, concatenated in directory order (for version
-//   >= 5, each payload is preceded by zero padding to the next 4-byte
-//   file offset; the padding belongs to the container, not to any
-//   section)
-// MXM2 layout (minor 6, the incremental-rewrite container):
-//   magic "MXM2" | u32 version | u64 dir_offset
+// Layout (little-endian):
+//   magic "MXM2" | u32 minor (6) | u64 dir_offset
 //   section payloads, each starting on a 4-byte file offset; gaps
-//   between payloads (alignment padding, superseded sections) carry
-//   no meaning and no checksum
+//   between payloads (alignment padding, superseded sections) carry no
+//   meaning and no checksum
 //   directory, at dir_offset (4-byte aligned): u32 section_count,
-//   then per section u32 id | u64 offset | u64 size | u64 fnv1a,
-//   then u64 fnv1a of the directory bytes so far (from dir_offset up
-//   to, not including, this field)
+//   then per section u32 id | u64 offset | u64 size | u64 checksum,
+//   then u64 checksum of the directory bytes so far (from dir_offset
+//   up to, not including, this field)
 //   Bytes after the directory are legal and ignored — a crashed
 //   in-place rewrite leaves appended-but-unreferenced sections there.
-// DRV1 derived-columns payload (all little-endian u32, paired with
-// the DOC2 section of the same document):
-//   u32 node_count
-//   child_offsets[]: node_count + 1 raw u32 — children CSR offsets
-//   child_list[]: node_count - 1 raw u32 — children CSR payload
-//   u32 edge_group_count, then per group, in first-appearance
-//   (document) order of the path:
-//     u32 path | u32 row_count (> 0)
-//     heads[]: row_count raw u32 — each node's parent
-//     tails[]: row_count raw u32 — the nodes of this path, ascending
-//   u32 string_group_count, then per string path, in the DOC2
-//   payload's group order: u32 path | u32 sorted_flag (1 when the
-//   owner column is sorted and probes may binary-search)
-// DOC0 document payload (row-oriented):
+// Checksum: FNV-1a steps over 8-byte chunks in four interleaved lanes,
+// the lanes folded and the tail absorbed byte-wise — verification runs
+// at memory speed, so the container scan never costs more than the
+// columnar decode it protects.
+// DOC2 document payload (columnar, view-decodable):
 //   path summary: u32 count, then per path: u32 parent, u8 kind,
-//                 string label
-//   nodes: u32 count, then parent[], path[], rank[] columns
-//   strings: u32 count, then (u32 path, u32 owner, string value)
-//            rows in global append (document) order
-//   strings are u32 length + bytes.
-// DOC1 document payload (columnar, memcpy-decodable):
-//   path summary: identical to DOC0
+//                 label (u32 length + bytes)
+//   zero padding to the next 4-byte payload offset
 //   nodes: u32 count, then parent[], path[], rank[] as three raw
 //          little-endian u32 arrays of `count` elements each
 //   strings: u32 total_count | u32 group_count, then one group per
@@ -161,28 +77,33 @@
 //     ends[]:  row_count raw u32 — cumulative value end offsets;
 //              row r's value is blob[ends[r-1], ends[r])
 //     blob: ends[row_count-1] bytes, all values concatenated
-//   No per-row path id, no per-string length framing: loading is a
-//   handful of memcpys per relation instead of one allocation and one
-//   dispatch per string.
-// DOC2 document payload (columnar, view-decodable):
-//   identical to DOC1, except that zero padding to the next 4-byte
-//   payload offset is inserted after the path summary and after every
-//   group's blob, so each raw u32 column sits 4-byte aligned within
-//   the payload (and, via the container alignment above, within the
-//   file). A view-mode load serves the columns as spans over the
-//   mapped image with zero copies; a copy-mode load memcpys them
-//   exactly as DOC1 does.
+//     zero padding to the next 4-byte payload offset
+//   Every raw u32 column sits 4-byte aligned within the payload and,
+//   because the container aligns payloads, within the file: a
+//   view-mode load serves the columns as spans over the mapped image,
+//   a copy-mode load memcpys them.
+// DRV1 derived-columns payload (all little-endian u32):
+//   u32 node_count
+//   child_offsets[]: node_count + 1 raw u32 — children CSR offsets
+//   child_list[]: node_count - 1 raw u32 — children CSR payload
+//   u32 edge_group_count, then per group, in first-appearance
+//   (document) order of the path:
+//     u32 path | u32 row_count (> 0)
+//     heads[]: row_count raw u32 — each node's parent
+//     tails[]: row_count raw u32 — the nodes of this path, ascending
+//   u32 string_group_count, then per string path, in the DOC2
+//   payload's group order: u32 path | u32 sorted_flag (1 when the
+//   owner column is sorted and probes may binary-search)
 //
 // Zero-copy (view-mode) lifetime contract
 // ---------------------------------------
 // LoadOptions::mode selects who owns the decoded columns:
 //  * kCopy (default): every column is copied out of the image; the
 //    image bytes may be released the moment the loader returns.
-//  * kView: DOC2 node columns, string columns and value blobs are
-//    borrowed as spans/views over the image bytes — no per-column
-//    memcpy happens (LoadStats::bytes_copied counts what little the
-//    decoder still owns: interned path labels and derived structures
-//    are built either way). The caller must guarantee the image bytes
+//  * kView: node columns, string columns, value blobs and the DRV1
+//    derived columns are borrowed as spans/views over the image bytes
+//    — no per-column memcpy happens (the decoder still owns the
+//    interned path labels). The caller must guarantee the image bytes
 //    outlive every decoded document. The file loaders do this
 //    automatically: they open the file through
 //    util::MmapFile::OpenShared and pin the mapping into each decoded
@@ -194,9 +115,9 @@
 //    adoption, bulk-load merge) promotes the touched structures to
 //    owned storage first — copy-on-write at column granularity —
 //    and never invalidates other borrowers of the same image.
-//  * DOC0/DOC1 sections silently fall back to copy mode (their
-//    columns are unaligned or row-framed); LoadStats::mode_used
-//    reports what actually happened.
+//  * A payload whose base address is not 4-byte aligned (an exotic
+//    byte-level caller) silently falls back to copy mode;
+//    LoadStats::mode_used reports what actually happened.
 
 #ifndef MEETXML_MODEL_STORAGE_IO_H_
 #define MEETXML_MODEL_STORAGE_IO_H_
@@ -222,39 +143,16 @@ constexpr uint32_t MakeSectionId(char a, char b, char c, char d) {
          static_cast<uint32_t>(static_cast<unsigned char>(d));
 }
 
-/// The row-oriented document section of an MXM2 image (legacy writer
-/// default through minor 3).
-inline constexpr uint32_t kDocumentSectionId = MakeSectionId('D', 'O', 'C', '0');
-/// The unaligned columnar document section (writer default of minor 4).
-inline constexpr uint32_t kColumnarDocumentSectionId =
-    MakeSectionId('D', 'O', 'C', '1');
-/// The aligned columnar document section (writer default since
-/// minor 5; the only payload a view-mode load can borrow from).
-inline constexpr uint32_t kAlignedColumnarDocumentSectionId =
-    MakeSectionId('D', 'O', 'C', '2');
+/// The document section: the aligned columnar DOC2 payload.
+inline constexpr uint32_t kDocumentSectionId = MakeSectionId('D', 'O', 'C', '2');
 /// Persisted full-text indexes (payload codec: text/index_io.h).
 inline constexpr uint32_t kTextIndexSectionId = MakeSectionId('T', 'I', 'D', 'X');
 /// Multi-document catalog directory (payload codec: store/catalog.h).
 inline constexpr uint32_t kCatalogSectionId = MakeSectionId('C', 'T', 'L', 'G');
 /// Persisted derived columns (children CSR, per-path edge BATs,
-/// string sortedness) of the DOC2 section it pairs with (minor 6+).
+/// string sortedness) of the DOC2 section it pairs with; required next
+/// to every document section.
 inline constexpr uint32_t kDerivedSectionId = MakeSectionId('D', 'R', 'V', '1');
-
-/// \brief True for every document section id (DOC0, DOC1 and DOC2).
-inline constexpr bool IsDocumentSectionId(uint32_t id) {
-  return id == kDocumentSectionId || id == kColumnarDocumentSectionId ||
-         id == kAlignedColumnarDocumentSectionId;
-}
-
-/// \brief Which codec a document section payload uses.
-enum class DocumentPayloadFormat : uint32_t {
-  kRowOriented = 0,  ///< DOC0: one framed (path, owner, value) row per string.
-  kColumnar = 1,     ///< DOC2: aligned raw columns — the writer default.
-  /// DOC1: the minor-4 columnar payload without column alignment.
-  /// Rollback knob for fleets still running minor-4 readers; loads in
-  /// copy mode only.
-  kColumnarUnaligned = 2,
-};
 
 /// \brief One named, independently checksummed byte range of an image.
 struct ImageSection {
@@ -267,8 +165,7 @@ struct ImageSection {
 struct SectionView {
   uint32_t id = 0;
   std::string_view bytes;
-  /// Byte offset of the payload within its container (0 for MXM1
-  /// synthetic sections).
+  /// Byte offset of the payload within its container.
   uint64_t offset = 0;
   /// The directory's checksum claim for this payload. Verified during
   /// the scan unless SectionScanOptions::verify_checksums was off; a
@@ -276,20 +173,17 @@ struct SectionView {
   uint64_t checksum = 0;
 };
 
-/// \brief A raw MXM2 container view: the minor revision plus every
-/// section in directory order, bounds verified (and checksums, unless
-/// deferred), payloads not yet interpreted. MXM1 images surface as
-/// minor 1 with a single synthetic document section. Views borrow
-/// from the loaded bytes.
+/// \brief A raw container view: every section in directory order,
+/// bounds verified (and checksums, unless deferred), payloads not yet
+/// interpreted. Views borrow from the loaded bytes.
 struct SectionImage {
-  uint32_t minor = 0;
-  /// File offset of the trailing directory (minor 6+; 0 otherwise).
+  /// File offset of the trailing directory.
   uint64_t dir_offset = 0;
   std::vector<SectionView> sections;
 };
 
-/// \brief Where one section's payload lives in a minor-6 container —
-/// the bookkeeping an in-place rewrite carries between saves.
+/// \brief Where one section's payload lives in a container — the
+/// bookkeeping an in-place rewrite carries between saves.
 struct SectionPlacement {
   uint32_t id = 0;
   uint64_t offset = 0;
@@ -302,29 +196,14 @@ struct SectionScanOptions {
   /// When false, per-section checksums are recorded (SectionView::
   /// checksum) but not verified — the caller promises to call
   /// VerifySectionChecksum on every section before interpreting its
-  /// payload. The minor-6 directory checksum is always verified: the
-  /// scan itself never trusts unchecked framing.
+  /// payload. The directory checksum is always verified: the scan
+  /// itself never trusts unchecked framing.
   bool verify_checksums = true;
 };
 
 /// \brief Serialization knobs.
 struct SaveOptions {
-  /// Container major to emit: 2 (current) or 1 (legacy MXM1; supported
-  /// for rollbacks, cannot carry extra sections, always row-oriented).
-  uint32_t format_version = 2;
-  /// Document payload codec for MXM2 images. Aligned columnar (DOC2,
-  /// the default) stamps minor 5; unaligned columnar (DOC1) stamps
-  /// minor 4 and row-oriented (DOC0) stamps minor 2, so older readers
-  /// still open the image — the rollback knobs.
-  DocumentPayloadFormat payload_format = DocumentPayloadFormat::kColumnar;
-  /// Persist the derived columns (children CSR, per-path edge BATs,
-  /// string sortedness) as a DRV1 section next to the document
-  /// section, so loads skip the Finalize() rebuild. Applies to the
-  /// kColumnar (DOC2) payload in MXM2 images and stamps minor 6;
-  /// ignored (no DRV1, historical minors) for the rollback payloads
-  /// and MXM1.
-  bool derived_section = true;
-  /// Additional sections appended after the document section (v2 only).
+  /// Additional sections appended after the DOC2 and DRV1 sections.
   std::vector<ImageSection> extra_sections;
 };
 
@@ -332,19 +211,19 @@ struct SaveOptions {
 /// the header comment).
 enum class LoadMode : uint32_t {
   kCopy = 0,  ///< Columns are copied out of the image (self-contained).
-  kView = 1,  ///< DOC2 columns borrow from the image bytes (zero-copy).
+  kView = 1,  ///< Columns borrow from the image bytes (zero-copy).
 };
 
 /// \brief Per-load observability for the zero-copy path.
 struct LoadStats {
   /// Image bytes memcpy'd into owned column/blob storage. Near zero
-  /// for a view-mode DOC2 load (path labels and derived structures
-  /// are not image copies and are not counted).
+  /// for a view-mode load (interned path labels are not image copies
+  /// and are not counted).
   uint64_t bytes_copied = 0;
   /// Image bytes served as borrowed views (0 in copy mode).
   uint64_t bytes_viewed = 0;
-  /// What actually happened: kView only when the document section was
-  /// DOC2 and view adoption succeeded; DOC0/DOC1 fall back to kCopy.
+  /// What actually happened: kView unless the payload base was not
+  /// 4-byte aligned, which falls back to kCopy.
   LoadMode mode_used = LoadMode::kCopy;
 };
 
@@ -370,10 +249,9 @@ struct LoadOptions {
 };
 
 /// \brief A loaded image: the document plus any sections the document
-/// loader itself does not interpret (absent in v1 images).
+/// loader itself does not interpret.
 struct LoadedImage {
   StoredDocument doc;
-  uint32_t format_version = 0;
   std::vector<ImageSection> extra_sections;
 };
 
@@ -385,97 +263,50 @@ util::Result<std::string> SaveToBytes(const StoredDocument& doc,
 //
 // The single-document Save/Load functions above are wrappers over this
 // raw section API; store/catalog.h uses it directly to write images
-// carrying several DOC0/TIDX pairs plus a CTLG directory.
+// carrying several DOC2/DRV1/TIDX groups plus a CTLG directory.
 
-/// \brief Writes an MXM2 container around `sections`, in order. `minor`
-/// is the revision stamp: 2 for images a single-document reader can
-/// open, 3 when the section set needs catalog semantics (several
-/// document sections), 4 when any document section is unaligned
-/// columnar (DOC1), 5 when any is aligned columnar (DOC2; minor >= 5
-/// containers also align every section payload to a 4-byte file
-/// offset), 6 when any section is a DRV1 derived-columns section (a
-/// minor-6 container carries the trailing, patchable directory).
-/// Section ids may repeat — interpreting duplicates is the caller's
-/// contract (the single-document writer rejects them earlier).
+/// \brief Writes a container around `sections`, in order. Section ids
+/// may repeat — interpreting duplicates is the caller's contract (the
+/// single-document writer rejects them earlier).
 util::Result<std::string> SaveSectionsToBytes(
-    const std::vector<ImageSection>& sections, uint32_t minor = 2);
+    const std::vector<ImageSection>& sections);
 
-/// \brief Parses any MXM1/MXM2 container: verifies magic, version
-/// bounds, directory framing and per-section checksums, and returns
-/// the raw sections without interpreting payloads.
-util::Result<SectionImage> LoadSectionsFromBytes(std::string_view bytes);
-
-/// \brief Like above, with scan knobs — pass verify_checksums = false
-/// for an O(directory) lazy open that gates each section on
-/// VerifySectionChecksum at first touch instead.
+/// \brief Parses a container: verifies magic, version, directory
+/// framing and per-section checksums, and returns the raw sections
+/// without interpreting payloads.
 util::Result<SectionImage> LoadSectionsFromBytes(
-    std::string_view bytes, const SectionScanOptions& options);
+    std::string_view bytes, const SectionScanOptions& options = {});
 
 /// \brief Verifies one section's payload against the checksum its
 /// container directory claimed — the first-touch gate of a lazy open
 /// (sections scanned with verify_checksums = false).
-util::Status VerifySectionChecksum(uint32_t minor,
-                                   const SectionView& section);
+util::Status VerifySectionChecksum(const SectionView& section);
 
-/// \brief Encodes one document as a document section payload in the
-/// requested codec (the document must be finalized). The matching
-/// section id is kDocumentSectionId for kRowOriented,
-/// kColumnarDocumentSectionId for kColumnarUnaligned and
-/// kAlignedColumnarDocumentSectionId for kColumnar.
-util::Result<std::string> SerializeDocumentSection(
-    const StoredDocument& doc,
-    DocumentPayloadFormat format = DocumentPayloadFormat::kColumnar);
-
-/// \brief The section id SerializeDocumentSection pairs with `format`.
-uint32_t DocumentSectionIdFor(DocumentPayloadFormat format);
-
-/// \brief Decodes a DOC0 (row-oriented) section payload; the result is
-/// finalized. Semantic validation (path/OID ranges, parent ordering)
-/// runs here. Always copies (row framing cannot be borrowed).
-util::Result<StoredDocument> ParseDocumentSection(
-    std::string_view payload, const LoadOptions& options = {});
-
-/// \brief Decodes a DOC1 (unaligned columnar) section payload; the
-/// result is finalized. Semantic validation (path/OID ranges, parent
-/// ordering, string offsets, the append-order permutation) runs here.
-/// View mode falls back to copying (the columns are unaligned).
-util::Result<StoredDocument> ParseColumnarDocumentSection(
-    std::string_view payload, const LoadOptions& options = {});
-
-/// \brief Decodes a DOC2 (aligned columnar) section payload; the
-/// result is finalized, with the same semantic validation as DOC1. In
-/// view mode the node columns, string columns and value blobs borrow
-/// from `payload` — see the lifetime contract above.
-util::Result<StoredDocument> ParseAlignedColumnarDocumentSection(
-    std::string_view payload, const LoadOptions& options = {});
-
-/// \brief Dispatches on the section id to the right payload codec;
-/// `section_id` must satisfy IsDocumentSectionId.
-util::Result<StoredDocument> ParseAnyDocumentSection(
-    uint32_t section_id, std::string_view payload,
-    const LoadOptions& options = {});
+/// \brief Encodes one document as a DOC2 section payload (the document
+/// must be finalized).
+util::Result<std::string> SerializeDocumentSection(const StoredDocument& doc);
 
 /// \brief Encodes a document's derived columns as a DRV1 section
 /// payload (the document must be finalized). Pairs with the DOC2
 /// section of the same document.
 util::Result<std::string> SerializeDerivedSection(const StoredDocument& doc);
 
-/// \brief Decodes a document section together with its DRV1 section:
-/// the derived structures are adopted from `derived_payload` instead
-/// of being rebuilt, zero-copy in view mode. Requires a DOC2 section
-/// (`section_id` must be kAlignedColumnarDocumentSectionId — the
-/// derived payload's offsets are only meaningful against the aligned
-/// codec). With options.defer_validation the deep cross-checks hang
-/// on the document's validation gate; otherwise they run here.
+/// \brief Decodes a DOC2 section together with its DRV1 section; the
+/// result is finalized. Semantic validation (path/OID ranges, parent
+/// ordering, string offsets, the append-order permutation, the
+/// derived structures) runs here, or on the document's validation
+/// gate with options.defer_validation. The derived structures are
+/// adopted from `derived_payload`, never rebuilt. In view mode the
+/// columns borrow from both payloads — see the lifetime contract
+/// above.
 util::Result<StoredDocument> ParseDocumentWithDerived(
-    uint32_t section_id, std::string_view payload,
-    std::string_view derived_payload, const LoadOptions& options = {});
+    std::string_view payload, std::string_view derived_payload,
+    const LoadOptions& options = {});
 
-/// \brief Restores a document from a binary image, accepting every
-/// known major version (MXM1 and MXM2); extra sections are ignored.
-/// The result is finalized and ready for queries. Corrupted or
-/// truncated images are rejected (version, bounds and checksums are
-/// verified).
+/// \brief Restores a document from a binary image; extra sections are
+/// ignored. The result is finalized and ready for queries. Corrupted,
+/// truncated or unsupported-version images are rejected (version,
+/// bounds and checksums are verified).
 util::Result<StoredDocument> LoadFromBytes(std::string_view bytes,
                                            const LoadOptions& options = {});
 
@@ -504,7 +335,7 @@ util::Result<StoredDocument> LoadFromFile(const std::string& path,
 util::Result<LoadedImage> LoadImageFromFile(const std::string& path,
                                             const LoadOptions& options = {});
 
-// --- Incremental rewrite (minor-6 containers) -------------------------
+// --- Incremental rewrite ----------------------------------------------
 
 /// \brief One section of the next directory an in-place rewrite
 /// publishes: either kept where it already lives (`keep` set, no bytes
@@ -526,7 +357,7 @@ struct AppendStats {
   uint64_t bytes_appended = 0; ///< payload + directory bytes written
 };
 
-/// \brief Incrementally rewrites a minor-6 container in place: appends
+/// \brief Incrementally rewrites a container in place: appends
 /// the non-kept sections and a fresh directory naming exactly
 /// `sections`, fsyncs, then patches the header's directory offset —
 /// the single-word commit point. A crash anywhere before the patch

@@ -118,18 +118,14 @@ std::string EncodeResponse(const Response& response) {
       out.Varint(response.stats.queries_served);
       out.Varint(response.stats.request_errors);
       out.Varint(response.stats.sessions_evicted);
-      // The v2 extension's presence is the version marker: a v1 body
-      // ends after the fourth varint, byte-identical to protocol v1.
-      if (response.stats.version >= 2) {
-        out.Varint(response.stats.histograms.size());
-        for (const StatsHistogramEntry& entry : response.stats.histograms) {
-          out.StrVarint(entry.name);
-          out.Varint(entry.count);
-          out.Varint(entry.sum);
-          out.Varint(entry.p50);
-          out.Varint(entry.p90);
-          out.Varint(entry.p99);
-        }
+      out.Varint(response.stats.histograms.size());
+      for (const StatsHistogramEntry& entry : response.stats.histograms) {
+        out.StrVarint(entry.name);
+        out.Varint(entry.count);
+        out.Varint(entry.sum);
+        out.Varint(entry.p50);
+        out.Varint(entry.p90);
+        out.Varint(entry.p99);
       }
       break;
     case Opcode::kDump:
@@ -152,18 +148,7 @@ std::string EncodeErrorResponse(Opcode opcode, const Status& status) {
 }
 
 std::string EncodeBusyResponse(Opcode opcode, uint64_t retry_after_ms,
-                               std::string_view message,
-                               uint64_t negotiated_version) {
-  if (negotiated_version < 2) {
-    // A v1 decoder rejects status byte 2; shed with the plain error
-    // shape it understands and fold the hint into the message.
-    std::string hinted(message);
-    hinted += " (retry in ~";
-    hinted += std::to_string(retry_after_ms);
-    hinted += "ms)";
-    return EncodeErrorResponse(
-        opcode, Status(StatusCode::kUnavailable, std::move(hinted)));
-  }
+                               std::string_view message) {
   Response response;
   response.ok = false;
   response.busy = true;
@@ -188,7 +173,7 @@ Result<Response> DecodeResponse(std::string_view payload) {
   response.ok = raw_status == 0;
   response.opcode = static_cast<Opcode>(raw_opcode);
   if (raw_status == 2) {
-    // busy (v2): the shed reply — retry-after hint plus message.
+    // busy: the shed reply — retry-after hint plus message.
     response.busy = true;
     response.code = StatusCode::kUnavailable;
     MEETXML_ASSIGN_OR_RETURN(response.retry_after_ms, reader.Varint());
@@ -231,11 +216,6 @@ Result<Response> DecodeResponse(std::string_view payload) {
                                reader.Varint());
       MEETXML_ASSIGN_OR_RETURN(response.stats.sessions_evicted,
                                reader.Varint());
-      if (reader.AtEnd()) {
-        response.stats.version = 1;
-        break;
-      }
-      response.stats.version = 2;
       MEETXML_ASSIGN_OR_RETURN(uint64_t entry_count, reader.Varint());
       // Every entry takes at least 6 bytes; a count beyond the payload
       // is a hostile length, not a short read.

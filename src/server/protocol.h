@@ -8,9 +8,10 @@
 //               connection (per-request errors, below, keep it open).
 // Request:      u8 opcode | per-opcode fields:
 //   kHello      varint protocol version (kMinProtocolVersion ..
-//               kProtocolVersion; the negotiated version shapes this
-//               connection's kStats replies, see below). Opens the
-//               connection's session; everything else requires one.
+//               kProtocolVersion, i.e. exactly 2; any other version is
+//               refused with an "unsupported protocol version" error).
+//               Opens the connection's session; everything else
+//               requires one.
 //   kQuery      scope (varint length + bytes) | query text (ditto).
 //               Scope globs follow store::MultiExecutor ("*" = every
 //               document).
@@ -18,7 +19,7 @@
 //   kStats      no fields.
 //   kBye        no fields; closes the session (the response is still
 //               delivered).
-//   kDump       no fields (v2). Sessionless, like kStats.
+//   kDump       no fields. Sessionless, like kStats.
 // Response:     u8 status (0 = ok, 1 = error, 2 = busy) | u8 echoed
 //               opcode | per-opcode body:
 //   ok kHello   varint session id | banner (varint length + bytes)
@@ -26,17 +27,13 @@
 //               (varint length + bytes)
 //   ok kPing    empty
 //   ok kStats   varint sessions active | varint queries served |
-//               varint request errors | varint sessions evicted —
-//               and, on a v2 connection only, the histogram summary
-//               extension: varint entry count, then per entry
+//               varint request errors | varint sessions evicted |
+//               varint histogram entry count, then per entry
 //               name (varint length + bytes) | varint count |
 //               varint sum | varint p50 | varint p90 | varint p99
 //               (microsecond latency summaries from the metrics
-//               registry, obs/metrics.h). A v1 connection — or any
-//               connection that has not said HELLO — gets exactly the
-//               four-varint v1 body, byte-compatible with v1 clients;
-//               decoders distinguish the two by whether bytes remain
-//               after the fourth varint.
+//               registry, obs/metrics.h). Connections that have not
+//               said HELLO get the same body.
 //   ok kDump    exposition text (varint length + bytes):
 //               Prometheus-style metrics followed by `# querylog`
 //               comment lines for the most recent queries with their
@@ -45,24 +42,12 @@
 //   error       varint util::StatusCode | message (varint length +
 //               bytes)
 //   busy        varint retry-after hint (milliseconds) | message
-//               (varint length + bytes). v2 extension: overload
-//               shedding — the server refused to queue the request
-//               (admission cap or queue deadline exceeded) and the
-//               client should back off for about the hinted time and
-//               retry. Emitted only on connections that negotiated
-//               version >= 2 at HELLO; a v1 connection is shed with a
-//               plain error response (kUnavailable, hint folded into
-//               the message), so v1 decoders — which reject status
-//               byte 2 — never see the extension.
+//               (varint length + bytes). Overload shedding: the server
+//               refused to queue the request (admission cap or queue
+//               deadline exceeded) and the client should back off for
+//               about the hinted time and retry.
 // Responses on one connection arrive in request order; clients may
 // pipeline. Trailing bytes after any request payload are rejected.
-//
-// v1 -> v2 compatibility: a v2 server accepts HELLO at version 1 and
-// keeps every v1 reply byte-identical on that connection; kDump sent
-// to a v1 server earns the standard unknown-opcode error. The v2
-// additions are kDump, the kStats histogram extension, and the busy
-// response status above — all negotiated at HELLO, all invisible to a
-// v1 connection.
 //
 // Everything here is pure encode/decode over in-memory bytes — the
 // same code path serves the TCP front-end (server/tcp_server.h), the
@@ -84,9 +69,9 @@ namespace meetxml {
 namespace server {
 
 inline constexpr uint64_t kProtocolVersion = 2;
-/// \brief Oldest client version HELLO still accepts; v1 connections
-/// get v1-shaped kStats bodies (see the codec comment above).
-inline constexpr uint64_t kMinProtocolVersion = 1;
+/// \brief Oldest client version HELLO accepts: the server speaks one
+/// version.
+inline constexpr uint64_t kMinProtocolVersion = 2;
 /// \brief Hard ceiling on one frame's payload. An advertised length
 /// beyond it is rejected before any allocation — a hostile length
 /// prefix must not become a multi-gigabyte reserve.
@@ -114,7 +99,7 @@ enum class Opcode : uint8_t {
   kPing = 3,
   kStats = 4,
   kBye = 5,
-  kDump = 6,  // v2
+  kDump = 6,
 };
 
 /// \brief A decoded request.
@@ -125,7 +110,7 @@ struct Request {
   std::string query;              // kQuery
 };
 
-/// \brief One histogram summary of a kStats v2 reply — the wire
+/// \brief One histogram summary of a kStats reply — the wire
 /// mirror of obs::NamedSummary (values in microseconds).
 struct StatsHistogramEntry {
   std::string name;
@@ -138,14 +123,10 @@ struct StatsHistogramEntry {
 
 /// \brief Service counters carried by a kStats response.
 struct StatsBody {
-  /// Body shape: 1 encodes the legacy four-varint body, 2 appends the
-  /// histogram summary extension. Decoders set it from what they saw.
-  uint64_t version = kProtocolVersion;
   uint64_t sessions_active = 0;
   uint64_t queries_served = 0;
   uint64_t request_errors = 0;
   uint64_t sessions_evicted = 0;
-  /// v2 only.
   std::vector<StatsHistogramEntry> histograms;
 };
 
@@ -153,7 +134,7 @@ struct StatsBody {
 struct Response {
   bool ok = false;
   Opcode opcode = Opcode::kPing;
-  // busy (v2): the server shed this request; retry after roughly the
+  // busy: the server shed this request; retry after roughly the
   // hinted delay. Busy responses are not ok and carry kUnavailable.
   bool busy = false;
   uint64_t retry_after_ms = 0;
@@ -184,13 +165,10 @@ std::string EncodeResponse(const Response& response);
 /// \brief Convenience: an error response echoing `opcode`.
 std::string EncodeErrorResponse(Opcode opcode, const util::Status& status);
 
-/// \brief Convenience: a shed reply echoing `opcode`, shaped for the
-/// connection's negotiated version — a status-2 busy response with the
-/// retry-after varint on v2, a byte-compatible kUnavailable error (hint
-/// folded into the message) on v1.
+/// \brief Convenience: a shed reply echoing `opcode` — a status-2 busy
+/// response carrying the retry-after hint.
 std::string EncodeBusyResponse(Opcode opcode, uint64_t retry_after_ms,
-                               std::string_view message,
-                               uint64_t negotiated_version);
+                               std::string_view message);
 
 /// \brief Strict decoders: unknown opcodes, truncated fields and
 /// trailing bytes are errors (the server answers per-request, the

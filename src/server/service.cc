@@ -152,15 +152,13 @@ void QueryService::ReleaseQuerySlot() {
   admitted_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-std::string QueryService::MakeBusyResponse(uint64_t negotiated_version,
-                                           bool deadline_exceeded) {
+std::string QueryService::MakeBusyResponse(bool deadline_exceeded) {
   shed_counter_->Add(1);
   if (deadline_exceeded) deadline_counter_->Add(1);
   return EncodeBusyResponse(
       Opcode::kQuery, options_.busy_retry_after_ms,
       deadline_exceeded ? "query waited past the queue deadline"
-                        : "server overloaded: admission queue is full",
-      negotiated_version);
+                        : "server overloaded: admission queue is full");
 }
 
 uint64_t QueryService::NowMs() const {
@@ -213,14 +211,14 @@ std::string QueryService::Connection::HandlePayload(
   } else if (opcode == Opcode::kQuery && !slot.held() &&
              !slot.TryAcquire()) {
     // The (cap+1)-th concurrent query: shed instead of queueing.
-    response = service_->MakeBusyResponse(protocol_version(), false);
+    response = service_->MakeBusyResponse(false);
   } else if (opcode == Opcode::kQuery && deadline_ms > 0 &&
              ctx.admitted_ms > 0 &&
              service_->NowMs() >= ctx.admitted_ms &&
              service_->NowMs() - ctx.admitted_ms >= deadline_ms) {
     // Sat in the front-end queue past the deadline: the client gave up
     // (or will); executing now only wastes a worker.
-    response = service_->MakeBusyResponse(protocol_version(), true);
+    response = service_->MakeBusyResponse(true);
   } else {
     Result<Request> request = DecodeRequest(payload);
     if (!request.ok()) {
@@ -267,10 +265,6 @@ std::string QueryService::Dispatch(Connection* connection,
       Result<uint64_t> id = sessions_.Open(now);
       if (!id.ok()) return error(id.status());
       connection->session_id_ = *id;
-      // The negotiated version shapes this connection's kStats bodies
-      // from here on (v1 clients keep the byte-identical v1 reply).
-      connection->protocol_version_.store(request.protocol_version,
-                                          std::memory_order_release);
       sessions_opened_counter_->Add(1);
       response.session_id = *id;
       response.banner = options_.banner;
@@ -291,21 +285,15 @@ std::string QueryService::Dispatch(Connection* connection,
       response.stats.queries_served = stats.queries_served;
       response.stats.request_errors = stats.request_errors;
       response.stats.sessions_evicted = stats.sessions_evicted;
-      if (connection->protocol_version() >= 2) {
-        response.stats.version = 2;
-        for (const obs::NamedSummary& named :
-             metrics_->HistogramSummaries()) {
-          StatsHistogramEntry entry;
-          entry.name = named.name;
-          entry.count = named.summary.count;
-          entry.sum = named.summary.sum;
-          entry.p50 = named.summary.p50;
-          entry.p90 = named.summary.p90;
-          entry.p99 = named.summary.p99;
-          response.stats.histograms.push_back(std::move(entry));
-        }
-      } else {
-        response.stats.version = 1;
+      for (const obs::NamedSummary& named : metrics_->HistogramSummaries()) {
+        StatsHistogramEntry entry;
+        entry.name = named.name;
+        entry.count = named.summary.count;
+        entry.sum = named.summary.sum;
+        entry.p50 = named.summary.p50;
+        entry.p90 = named.summary.p90;
+        entry.p99 = named.summary.p99;
+        response.stats.histograms.push_back(std::move(entry));
       }
       return EncodeResponse(response);
     }
@@ -510,10 +498,10 @@ Result<Response> InProcessClient::Roundtrip(const Request& request) {
   return DecodeResponse(response_payload);
 }
 
-Result<uint64_t> InProcessClient::Hello(uint64_t version) {
+Result<uint64_t> InProcessClient::Hello() {
   Request request;
   request.opcode = Opcode::kHello;
-  request.protocol_version = version;
+  request.protocol_version = kProtocolVersion;
   MEETXML_ASSIGN_OR_RETURN(Response response, Roundtrip(request));
   if (!response.ok) {
     return Status(response.code, response.message);

@@ -66,7 +66,7 @@ struct ServiceOptions {
   size_t query_log_capacity = 256;
   /// Master switch for per-query tracing, stage histograms and the
   /// query log. Off, dispatch reads no clocks beyond the session
-  /// timestamps (the ab14 overhead bench's baseline); kStats v2 and
+  /// timestamps (the ab14 overhead bench's baseline); kStats and
   /// kDump still answer from whatever was recorded.
   bool observe = true;
   /// Banner carried by the HELLO response.
@@ -145,20 +145,12 @@ class QueryService {
       return session_id_.load(std::memory_order_acquire);
     }
 
-    /// \brief The protocol version HELLO negotiated; 1 before any
-    /// HELLO, so sessionless kStats replies stay byte-compatible with
-    /// v1 clients.
-    uint64_t protocol_version() const {
-      return protocol_version_.load(std::memory_order_acquire);
-    }
-
    private:
     friend class QueryService;
     explicit Connection(QueryService* service) : service_(service) {}
 
     QueryService* service_;
     std::atomic<uint64_t> session_id_{0};
-    std::atomic<uint64_t> protocol_version_{1};
   };
 
   /// \brief Opens a transport connection (no session yet — that is
@@ -185,12 +177,10 @@ class QueryService {
     return admitted_.load(std::memory_order_acquire);
   }
 
-  /// \brief The shed reply for one refused query, shaped for the
-  /// connection's negotiated protocol version; counts it in
+  /// \brief The busy reply for one refused query; counts it in
   /// meetxml_server_shed_total (and the deadline counter when
   /// `deadline_exceeded`).
-  std::string MakeBusyResponse(uint64_t negotiated_version,
-                               bool deadline_exceeded);
+  std::string MakeBusyResponse(bool deadline_exceeded);
 
   /// \brief Stops taking new requests; in-flight dispatches finish and
   /// deliver their responses, later ones earn Unavailable errors.
@@ -260,13 +250,12 @@ class InProcessClient {
   /// \brief Full round trip for an arbitrary request.
   util::Result<Response> Roundtrip(const Request& request);
 
-  /// \brief HELLO; returns the session id. `version` lets tests act
-  /// as an older client (kStats bodies follow the negotiated version).
-  util::Result<uint64_t> Hello(uint64_t version = kProtocolVersion);
+  /// \brief HELLO at kProtocolVersion; returns the session id.
+  util::Result<uint64_t> Hello();
   /// \brief QUERY; returns the decoded response (ok or error).
   util::Result<Response> Query(std::string_view scope,
                                std::string_view query_text);
-  /// \brief STATS; the body shape follows the negotiated version.
+  /// \brief STATS; counters plus histogram summaries.
   util::Result<StatsBody> Stats();
   /// \brief DUMP; the Prometheus-style exposition text.
   util::Result<std::string> Dump();

@@ -141,8 +141,7 @@ void TcpServer::Enqueue(const std::shared_ptr<Conn>& conn,
         item.holds_slot = true;
         item.admitted_ms = service_->NowMs();
       } else {
-        item.payload = service_->MakeBusyResponse(
-            conn->service_conn->protocol_version(), false);
+        item.payload = service_->MakeBusyResponse(false);
         item.ready_reply = true;
       }
     }

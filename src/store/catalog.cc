@@ -30,11 +30,9 @@ using util::Status;
 
 namespace {
 
-// Codec 1 is the pre-DRV1 directory; codec 2 appends the derived
-// section reference per entry. The writer emits 1 whenever no entry
-// carries a DRV1 section so rollback images stay readable.
-constexpr uint8_t kCatalogCodecV1 = 1;
-constexpr uint8_t kCatalogCodecV2 = 2;
+// The CTLG codec: per entry its document, index and derived section
+// references.
+constexpr uint8_t kCatalogCodec = 2;
 
 // Process-wide catalog metrics, resolved once per process: the
 // registry lookup takes a mutex, which first-touch and open paths must
@@ -91,17 +89,14 @@ Status ValidateName(std::string_view name) {
 }  // namespace
 
 // Everything a first touch needs to finish a lazily-opened entry: the
-// raw section views (borrowing from `backing`), the container minor
-// for the checksum recipe, and the decode mode. `failed`/`error` make
-// a corrupt entry sticky — every touch reports the same status instead
-// of re-verifying a known-bad section.
+// raw section views (borrowing from `backing`) and the decode mode.
+// `failed`/`error` make a corrupt entry sticky — every touch reports
+// the same status instead of re-verifying a known-bad section.
 struct NamedDocument::PendingDecode {
   SectionView doc;
   SectionView derived;
   SectionView index;
-  bool has_derived = false;
   bool has_index = false;
-  uint32_t minor = 0;
   model::LoadMode mode = model::LoadMode::kCopy;
   std::shared_ptr<const void> backing;
   Status error = Status::OK();
@@ -123,12 +118,10 @@ Status Catalog::MaterializeLocked(const NamedDocument* entry) const {
   // First-touch checksum gate: the open skipped these, so a tampered
   // byte in this entry's sections must surface here, before any parse
   // looks at the payload.
-  Status sum = model::VerifySectionChecksum(pending->minor, pending->doc);
-  if (sum.ok() && pending->has_derived) {
-    sum = model::VerifySectionChecksum(pending->minor, pending->derived);
-  }
+  Status sum = model::VerifySectionChecksum(pending->doc);
+  if (sum.ok()) sum = model::VerifySectionChecksum(pending->derived);
   if (sum.ok() && pending->has_index) {
-    sum = model::VerifySectionChecksum(pending->minor, pending->index);
+    sum = model::VerifySectionChecksum(pending->index);
   }
   if (!sum.ok()) return fail(sum);
 
@@ -142,14 +135,8 @@ Status Catalog::MaterializeLocked(const NamedDocument* entry) const {
   doc_options.backing = pending->backing;
   doc_options.defer_validation = true;
   doc_options.stats = &load_stats;
-  Result<StoredDocument> doc =
-      pending->has_derived
-          ? model::ParseDocumentWithDerived(pending->doc.id,
-                                            pending->doc.bytes,
-                                            pending->derived.bytes,
-                                            doc_options)
-          : model::ParseAnyDocumentSection(pending->doc.id,
-                                           pending->doc.bytes, doc_options);
+  Result<StoredDocument> doc = model::ParseDocumentWithDerived(
+      pending->doc.bytes, pending->derived.bytes, doc_options);
   if (!doc.ok()) return fail(doc.status());
   std::optional<text::InvertedIndex> index;
   if (pending->has_index) {
@@ -373,95 +360,90 @@ Status Catalog::EnsureIndex(std::string_view name) {
   return Status::OK();
 }
 
+Result<std::vector<model::PendingSection>> Catalog::PlanSections(
+    bool keep_placed, std::vector<EntrySectionMap>* mapping) const {
+  // Section order: CTLG first, then per entry its DOC2 section, (when
+  // an index exists anywhere — on the entry, inside its executor, or
+  // kept from the origin image) TIDX, and its DRV1.
+  std::vector<model::PendingSection> sections;
+  sections.emplace_back();  // CTLG placeholder, payload filled below
+  mapping->assign(entries_.size(), EntrySectionMap{});
+  auto kept = [keep_placed](const std::optional<model::SectionPlacement>&
+                                placement) {
+    return keep_placed ? placement : std::nullopt;
+  };
+
+  ByteWriter directory;
+  directory.U8(kCatalogCodec);
+  directory.Varint(next_id_);
+  directory.Varint(entries_.size());
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    const NamedDocument& entry = *entries_[i];
+    EntrySectionMap& map = (*mapping)[i];
+    directory.Varint(entry.id);
+    directory.StrVarint(entry.name);
+    directory.Varint(sections.size());
+    map.doc_at = sections.size();
+    model::PendingSection doc{model::kDocumentSectionId,
+                              kept(entry.placed.doc), std::string()};
+    if (!doc.keep.has_value()) {
+      MEETXML_ASSIGN_OR_RETURN(doc.bytes,
+                               model::SerializeDocumentSection(entry.doc));
+    }
+    sections.push_back(std::move(doc));
+
+    const text::InvertedIndex* index =
+        entry.index.has_value()
+            ? &*entry.index
+            : (entry.executor != nullptr ? entry.executor->text_index()
+                                         : nullptr);
+    std::optional<model::SectionPlacement> kept_index =
+        kept(entry.placed.index);
+    if (kept_index.has_value() || index != nullptr) {
+      directory.Varint(sections.size() + 1);  // 0 means "no index"
+      map.index_at = sections.size();
+      sections.push_back(model::PendingSection{
+          model::kTextIndexSectionId, kept_index,
+          kept_index.has_value() ? std::string()
+                                 : text::SerializeIndex(*index)});
+    } else {
+      directory.Varint(0);
+    }
+
+    directory.Varint(sections.size() + 1);
+    map.derived_at = sections.size();
+    model::PendingSection derived{model::kDerivedSectionId,
+                                  kept(entry.placed.derived), std::string()};
+    if (!derived.keep.has_value()) {
+      MEETXML_ASSIGN_OR_RETURN(derived.bytes,
+                               model::SerializeDerivedSection(entry.doc));
+    }
+    sections.push_back(std::move(derived));
+  }
+  sections.front() = model::PendingSection{model::kCatalogSectionId,
+                                           std::nullopt, directory.Take()};
+  return sections;
+}
+
 Result<std::string> Catalog::SerializeImage(
-    model::DocumentPayloadFormat payload_format, bool derived_sections,
     std::vector<EntrySectionMap>* mapping) const {
   // Pending entries must decode before they can re-serialize.
   for (const auto& entry : entries_) {
     MEETXML_RETURN_NOT_OK(Materialize(entry.get()));
   }
-  // DRV1 pairs only with DOC2; with another payload format (rollback
-  // images) the derived request is moot and the image stays on the
-  // previous minors and CTLG codec.
-  bool with_derived =
-      derived_sections &&
-      payload_format == model::DocumentPayloadFormat::kColumnar &&
-      !entries_.empty();
-  // Section order: CTLG first, then per entry its document section,
-  // (when an index exists anywhere — on the entry or inside its
-  // executor) TIDX, and under codec 2 its DRV1.
-  uint32_t document_section_id =
-      model::DocumentSectionIdFor(payload_format);
+  MEETXML_ASSIGN_OR_RETURN(std::vector<model::PendingSection> planned,
+                           PlanSections(/*keep_placed=*/false, mapping));
   std::vector<ImageSection> sections;
-  sections.emplace_back();  // CTLG placeholder, payload filled below
-  if (mapping != nullptr) mapping->clear();
-
-  ByteWriter directory;
-  directory.U8(with_derived ? kCatalogCodecV2 : kCatalogCodecV1);
-  directory.Varint(next_id_);
-  directory.Varint(entries_.size());
-  for (const auto& entry : entries_) {
-    EntrySectionMap map;
-    MEETXML_ASSIGN_OR_RETURN(
-        std::string doc_payload,
-        model::SerializeDocumentSection(entry->doc, payload_format));
-    directory.Varint(entry->id);
-    directory.StrVarint(entry->name);
-    directory.Varint(sections.size());
-    map.doc_at = sections.size();
-    sections.push_back(
-        ImageSection{document_section_id, std::move(doc_payload)});
-    const text::InvertedIndex* index =
-        entry->index.has_value()
-            ? &*entry->index
-            : (entry->executor != nullptr ? entry->executor->text_index()
-                                          : nullptr);
-    if (index != nullptr) {
-      directory.Varint(sections.size() + 1);  // 0 means "no index"
-      map.index_at = sections.size();
-      sections.push_back(ImageSection{model::kTextIndexSectionId,
-                                      text::SerializeIndex(*index)});
-    } else {
-      directory.Varint(0);
-    }
-    if (with_derived) {
-      MEETXML_ASSIGN_OR_RETURN(std::string derived_payload,
-                               model::SerializeDerivedSection(entry->doc));
-      directory.Varint(sections.size() + 1);  // 0 means "no DRV1"
-      map.derived_at = sections.size();
-      sections.push_back(ImageSection{model::kDerivedSectionId,
-                                      std::move(derived_payload)});
-    }
-    if (mapping != nullptr) mapping->push_back(map);
+  sections.reserve(planned.size());
+  for (model::PendingSection& section : planned) {
+    sections.push_back(ImageSection{section.id, std::move(section.bytes)});
   }
-  sections.front() =
-      ImageSection{model::kCatalogSectionId, directory.Take()};
-
-  // Minor stamp: the bump exists only to stop readers from opening
-  // images they cannot decode, so derived images need minor 6, plain
-  // columnar minor 5 (DOC2) or 4 (DOC1), only when such a section is
-  // actually aboard (an empty catalog carries none). Row-oriented
-  // images: one document degrades gracefully under legacy minor-2
-  // readers (the CTLG section is skipped as unknown); several DOC0
-  // sections need the minor-3 contract.
-  uint32_t minor = entries_.size() > 1 ? 3 : 2;
-  if (!entries_.empty()) {
-    if (with_derived) {
-      minor = 6;
-    } else if (payload_format == model::DocumentPayloadFormat::kColumnar) {
-      minor = 5;
-    } else if (payload_format ==
-               model::DocumentPayloadFormat::kColumnarUnaligned) {
-      minor = 4;
-    }
-  }
-  return model::SaveSectionsToBytes(sections, minor);
+  return model::SaveSectionsToBytes(sections);
 }
 
-Result<std::string> Catalog::SaveToBytes(
-    model::DocumentPayloadFormat payload_format,
-    bool derived_sections) const {
-  return SerializeImage(payload_format, derived_sections, nullptr);
+Result<std::string> Catalog::SaveToBytes() const {
+  std::vector<EntrySectionMap> mapping;
+  return SerializeImage(&mapping);
 }
 
 Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
@@ -495,71 +477,62 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
 
   Catalog catalog;
   if (catalog_section == nullptr) {
-    // Legacy single-document image (MXM1, or MXM2 written by the
-    // single-document API): one entry, named after the root tag.
+    // Single-document image (written by the single-document API): one
+    // entry, named after the root tag.
     util::Timer decode_timer;
     model::LoadStats doc_stats;
-    model::LoadOptions legacy_options = doc_options;
-    legacy_options.stats = &doc_stats;
+    model::LoadOptions single_options = doc_options;
+    single_options.stats = &doc_stats;
     MEETXML_ASSIGN_OR_RETURN(
-        model::LoadedImage legacy,
-        model::LoadImageFromBytes(bytes, legacy_options));
+        model::LoadedImage single,
+        model::LoadImageFromBytes(bytes, single_options));
     std::optional<text::InvertedIndex> index;
-    for (const ImageSection& section : legacy.extra_sections) {
+    for (const ImageSection& section : single.extra_sections) {
       if (section.id != model::kTextIndexSectionId) continue;
       MEETXML_ASSIGN_OR_RETURN(text::InvertedIndex decoded,
                                text::DeserializeIndex(section.bytes));
       MEETXML_RETURN_NOT_OK(
-          text::ValidateIndexAgainst(legacy.doc, decoded));
+          text::ValidateIndexAgainst(single.doc, decoded));
       index = std::move(decoded);
       break;
     }
     double decode_ms = decode_timer.ElapsedMillis();
-    bool columnar = false;
-    for (const SectionView& section : image.sections) {
-      if (model::IsDocumentSectionId(section.id) &&
-          section.id != model::kDocumentSectionId) {
-        columnar = true;
-      }
-    }
-    std::string name = legacy.doc.tag(legacy.doc.root());
+    std::string name = single.doc.tag(single.doc.root());
     if (!ValidateName(name).ok()) name = "doc";
     if (options.stats != nullptr) {
       options.stats->documents.push_back(CatalogLoadStats::DocumentStats{
-          name, decode_ms, columnar, index.has_value(),
+          name, decode_ms, index.has_value(),
           doc_stats.mode_used, doc_stats.bytes_copied,
           doc_stats.bytes_viewed});
     }
     if (index.has_value()) {
       MEETXML_RETURN_NOT_OK(catalog
                                 .Add(std::move(name),
-                                     std::move(legacy.doc),
+                                     std::move(single.doc),
                                      std::move(*index))
                                 .status());
     } else {
       MEETXML_RETURN_NOT_OK(
-          catalog.Add(std::move(name), std::move(legacy.doc)).status());
+          catalog.Add(std::move(name), std::move(single.doc)).status());
     }
-    // A trailing-directory single-document image can still feed the
-    // incremental writer (it appends the CTLG the image lacks), so
-    // record where its sections sit.
-    if (image.dir_offset != 0) {
-      NamedDocument* added = catalog.entries_.back().get();
-      for (const SectionView& section : image.sections) {
-        model::SectionPlacement placement{section.id, section.offset,
-                                          section.bytes.size(),
-                                          section.checksum};
-        if (model::IsDocumentSectionId(section.id)) {
-          added->placed.doc = placement;
-        } else if (section.id == model::kDerivedSectionId) {
-          added->placed.derived = placement;
-        } else if (section.id == model::kTextIndexSectionId) {
-          added->placed.index = placement;
-        }
+    // A single-document image can still feed the incremental writer
+    // (it appends the CTLG the image lacks), so record where its
+    // sections sit.
+    NamedDocument* added = catalog.entries_.back().get();
+    for (const SectionView& section : image.sections) {
+      model::SectionPlacement placement{section.id, section.offset,
+                                        section.bytes.size(),
+                                        section.checksum};
+      if (section.id == model::kDocumentSectionId) {
+        added->placed.doc = placement;
+      } else if (section.id == model::kDerivedSectionId) {
+        added->placed.derived = placement;
+      } else if (section.id == model::kTextIndexSectionId) {
+        added->placed.index = placement;
       }
-      catalog.origin_ = OriginImage{std::string(), image.minor,
-                                    bytes.size(), image.dir_offset};
     }
+    catalog.origin_ =
+        OriginImage{std::string(), bytes.size(), image.dir_offset};
     if (options.stats != nullptr) {
       options.stats->sections_verified = image.sections.size();
       options.stats->total_ms = total_timer.ElapsedMillis();
@@ -574,13 +547,12 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
     // quarantining open can treat leniently: everything else hangs off
     // it, so its checksum is verified here even though the scan above
     // skipped per-section sums.
-    MEETXML_RETURN_NOT_OK(
-        model::VerifySectionChecksum(image.minor, *catalog_section));
+    MEETXML_RETURN_NOT_OK(model::VerifySectionChecksum(*catalog_section));
   }
 
   ByteReader reader(catalog_section->bytes);
   MEETXML_ASSIGN_OR_RETURN(uint8_t codec, reader.U8());
-  if (codec != kCatalogCodecV1 && codec != kCatalogCodecV2) {
+  if (codec != kCatalogCodec) {
     return Status::InvalidArgument("unsupported catalog codec ", codec);
   }
   MEETXML_ASSIGN_OR_RETURN(uint64_t next_id, reader.Varint());
@@ -610,7 +582,7 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
     }
     uint32_t id = image.sections[at].id;
     bool type_ok = want == Want::kDocument
-                       ? model::IsDocumentSectionId(id)
+                       ? id == model::kDocumentSectionId
                        : (want == Want::kIndex
                               ? id == model::kTextIndexSectionId
                               : id == model::kDerivedSectionId);
@@ -636,8 +608,9 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
     // section position + 1. (A plain position with 0-as-none would
     // misread images whose TIDX legitimately sits at position 0.)
     size_t index_at_plus_one = 0;
-    // Codec 2 only: the entry's DRV1 section, same +1 encoding.
-    size_t derived_at_plus_one = 0;
+    // The entry's DRV1 section (persisted with the same +1 encoding,
+    // where 0 is corruption).
+    size_t derived_at = 0;
   };
   std::vector<DirectoryEntry> directory;
   directory.reserve(static_cast<size_t>(entry_count));
@@ -665,16 +638,13 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
       MEETXML_RETURN_NOT_OK(claim(index_at, Want::kIndex));
       entry.index_at_plus_one = static_cast<size_t>(index_at_plus_one);
     }
-    if (codec >= kCatalogCodecV2) {
-      MEETXML_ASSIGN_OR_RETURN(uint64_t derived_at_plus_one,
-                               reader.Varint());
-      if (derived_at_plus_one != 0) {
-        MEETXML_RETURN_NOT_OK(
-            claim(derived_at_plus_one - 1, Want::kDerived));
-        entry.derived_at_plus_one =
-            static_cast<size_t>(derived_at_plus_one);
-      }
+    MEETXML_ASSIGN_OR_RETURN(uint64_t derived_at_plus_one, reader.Varint());
+    if (derived_at_plus_one == 0) {
+      return Status::InvalidArgument(
+          "corrupt catalog: document without a derived section");
     }
+    MEETXML_RETURN_NOT_OK(claim(derived_at_plus_one - 1, Want::kDerived));
+    entry.derived_at = static_cast<size_t>(derived_at_plus_one - 1);
     directory.push_back(std::move(entry));
   }
   if (!reader.AtEnd()) {
@@ -685,7 +655,7 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
   // how the format grows); reject them.
   for (size_t at = 0; at < image.sections.size(); ++at) {
     uint32_t id = image.sections[at].id;
-    if (!claimed[at] && (model::IsDocumentSectionId(id) ||
+    if (!claimed[at] && (id == model::kDocumentSectionId ||
                          id == model::kTextIndexSectionId ||
                          id == model::kDerivedSectionId)) {
       return Status::InvalidArgument(
@@ -694,11 +664,10 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
     }
   }
 
-  // Trailing-directory images feed the incremental writer: remember
-  // where every entry's sections sit.
+  // Loaded images feed the incremental writer: remember where every
+  // entry's sections sit.
   auto record_placements = [&image](NamedDocument* target,
                                     const DirectoryEntry& dir_entry) {
-    if (image.dir_offset == 0) return;
     auto placement_of = [&image](size_t at) {
       const SectionView& section = image.sections[at];
       return model::SectionPlacement{section.id, section.offset,
@@ -706,10 +675,7 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
                                      section.checksum};
     };
     target->placed.doc = placement_of(dir_entry.doc_at);
-    if (dir_entry.derived_at_plus_one != 0) {
-      target->placed.derived =
-          placement_of(dir_entry.derived_at_plus_one - 1);
-    }
+    target->placed.derived = placement_of(dir_entry.derived_at);
     if (dir_entry.index_at_plus_one != 0) {
       target->placed.index = placement_of(dir_entry.index_at_plus_one - 1);
     }
@@ -737,14 +703,9 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
       }
       auto pending = std::make_unique<NamedDocument::PendingDecode>();
       pending->doc = image.sections[dir_entry.doc_at];
-      pending->minor = image.minor;
+      pending->derived = image.sections[dir_entry.derived_at];
       pending->mode = options.mode;
       pending->backing = options.backing;
-      if (dir_entry.derived_at_plus_one != 0) {
-        pending->has_derived = true;
-        pending->derived =
-            image.sections[dir_entry.derived_at_plus_one - 1];
-      }
       if (dir_entry.index_at_plus_one != 0) {
         pending->has_index = true;
         pending->index = image.sections[dir_entry.index_at_plus_one - 1];
@@ -754,18 +715,14 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
       record_placements(entry.get(), dir_entry);
       if (options.stats != nullptr) {
         options.stats->documents.push_back(CatalogLoadStats::DocumentStats{
-            entry->name, 0.0,
-            image.sections[dir_entry.doc_at].id !=
-                model::kDocumentSectionId,
-            dir_entry.index_at_plus_one != 0, options.mode, 0, 0});
+            entry->name, 0.0, dir_entry.index_at_plus_one != 0,
+            options.mode, 0, 0});
       }
       catalog.entries_.push_back(std::move(entry));
     }
     catalog.next_id_ = static_cast<DocId>(next_id);
-    if (image.dir_offset != 0) {
-      catalog.origin_ = OriginImage{std::string(), image.minor,
-                                    bytes.size(), image.dir_offset};
-    }
+    catalog.origin_ =
+        OriginImage{std::string(), bytes.size(), image.dir_offset};
     if (options.stats != nullptr) {
       options.stats->deferred_documents = directory.size();
       options.stats->sections_verified = 1;  // the CTLG section
@@ -796,19 +753,16 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
     DecodedEntry& out = decoded[i];
     util::Timer decode_timer;
     const SectionView& doc_section = image.sections[directory[i].doc_at];
+    const SectionView& drv_section =
+        image.sections[directory[i].derived_at];
     if (options.quarantine_corrupt) {
       // The scan skipped per-section checksums so a flipped bit lands
       // on this entry alone; verify them here, before any parse reads
       // the payload.
-      Status sum = model::VerifySectionChecksum(image.minor, doc_section);
-      if (sum.ok() && directory[i].derived_at_plus_one != 0) {
-        sum = model::VerifySectionChecksum(
-            image.minor,
-            image.sections[directory[i].derived_at_plus_one - 1]);
-      }
+      Status sum = model::VerifySectionChecksum(doc_section);
+      if (sum.ok()) sum = model::VerifySectionChecksum(drv_section);
       if (sum.ok() && directory[i].index_at_plus_one != 0) {
         sum = model::VerifySectionChecksum(
-            image.minor,
             image.sections[directory[i].index_at_plus_one - 1]);
       }
       if (!sum.ok()) {
@@ -818,15 +772,8 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
     }
     model::LoadOptions entry_options = doc_options;
     entry_options.stats = &out.load_stats;
-    Result<StoredDocument> doc =
-        directory[i].derived_at_plus_one != 0
-            ? model::ParseDocumentWithDerived(
-                  doc_section.id, doc_section.bytes,
-                  image.sections[directory[i].derived_at_plus_one - 1]
-                      .bytes,
-                  entry_options)
-            : model::ParseAnyDocumentSection(
-                  doc_section.id, doc_section.bytes, entry_options);
+    Result<StoredDocument> doc = model::ParseDocumentWithDerived(
+        doc_section.bytes, drv_section.bytes, entry_options);
     if (!doc.ok()) {
       out.status = doc.status();
       return;
@@ -866,8 +813,6 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
     if (options.stats != nullptr) {
       options.stats->documents.push_back(CatalogLoadStats::DocumentStats{
           directory[i].name, decoded[i].decode_ms,
-          image.sections[directory[i].doc_at].id !=
-              model::kDocumentSectionId,
           decoded[i].index.has_value(), decoded[i].load_stats.mode_used,
           decoded[i].load_stats.bytes_copied,
           decoded[i].load_stats.bytes_viewed});
@@ -910,10 +855,8 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
     record_placements(catalog.entries_.back().get(), directory[i]);
   }
   catalog.next_id_ = static_cast<DocId>(next_id);
-  if (image.dir_offset != 0) {
-    catalog.origin_ = OriginImage{std::string(), image.minor,
-                                  bytes.size(), image.dir_offset};
-  }
+  catalog.origin_ =
+      OriginImage{std::string(), bytes.size(), image.dir_offset};
   if (options.stats != nullptr) {
     options.stats->threads_used = std::max(1u, workers);
     options.stats->sections_verified = image.sections.size();
@@ -935,91 +878,24 @@ Status Catalog::SaveToFile(const std::string& path) const {
 
 Result<bool> Catalog::TrySaveInPlace(
     const std::string& path, const CatalogSaveOptions& options) const {
-  // Only the minor-6 image this catalog's placements refer to can be
-  // appended to, and only in the derived DOC2 format that image holds.
-  if (!origin_.has_value() || origin_->path != path ||
-      origin_->minor < 6) {
-    return false;
-  }
-  if (options.payload_format != model::DocumentPayloadFormat::kColumnar ||
-      !options.derived_sections || entries_.empty()) {
-    return false;
-  }
+  // Only the image this catalog's placements refer to can be appended
+  // to.
+  if (!origin_.has_value() || origin_->path != path) return false;
 
-  // Assemble the keep-or-append section list and the new CTLG
-  // directory — same section order per entry as SerializeImage, so the
-  // two writers produce interchangeable images.
-  std::vector<model::PendingSection> sections;
-  sections.emplace_back();  // CTLG placeholder, always fresh
-  std::vector<EntrySectionMap> ats(entries_.size());
-  ByteWriter directory;
-  directory.U8(kCatalogCodecV2);
-  directory.Varint(next_id_);
-  directory.Varint(entries_.size());
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    const NamedDocument& entry = *entries_[i];
-    bool pending = entry.pending != nullptr;
-    if (pending && (!entry.placed.doc.has_value() ||
-                    !entry.placed.derived.has_value())) {
-      // A pending entry has nothing to serialize from; without kept
-      // placements the full rewrite (which materializes) must run.
+  // A pending entry has nothing to serialize from; without kept
+  // placements the full rewrite (which materializes) must run.
+  for (const auto& entry : entries_) {
+    if (entry->pending != nullptr && (!entry->placed.doc.has_value() ||
+                                      !entry->placed.derived.has_value())) {
       return false;
     }
-    directory.Varint(entry.id);
-    directory.StrVarint(entry.name);
-    directory.Varint(sections.size());
-    ats[i].doc_at = sections.size();
-    if (entry.placed.doc.has_value()) {
-      if (entry.placed.doc->id !=
-          model::kAlignedColumnarDocumentSectionId) {
-        return false;  // legacy payload aboard; rewrite in DOC2
-      }
-      sections.push_back(model::PendingSection{
-          entry.placed.doc->id, entry.placed.doc, std::string()});
-    } else {
-      MEETXML_ASSIGN_OR_RETURN(
-          std::string payload,
-          model::SerializeDocumentSection(
-              entry.doc, model::DocumentPayloadFormat::kColumnar));
-      sections.push_back(model::PendingSection{
-          model::kAlignedColumnarDocumentSectionId, std::nullopt,
-          std::move(payload)});
-    }
-    const text::InvertedIndex* index =
-        entry.index.has_value()
-            ? &*entry.index
-            : (entry.executor != nullptr ? entry.executor->text_index()
-                                         : nullptr);
-    if (entry.placed.index.has_value() || index != nullptr) {
-      directory.Varint(sections.size() + 1);
-      ats[i].index_at = sections.size();
-      if (entry.placed.index.has_value()) {
-        sections.push_back(model::PendingSection{
-            model::kTextIndexSectionId, entry.placed.index,
-            std::string()});
-      } else {
-        sections.push_back(model::PendingSection{
-            model::kTextIndexSectionId, std::nullopt,
-            text::SerializeIndex(*index)});
-      }
-    } else {
-      directory.Varint(0);
-    }
-    directory.Varint(sections.size() + 1);
-    ats[i].derived_at = sections.size();
-    if (entry.placed.derived.has_value()) {
-      sections.push_back(model::PendingSection{
-          model::kDerivedSectionId, entry.placed.derived, std::string()});
-    } else {
-      MEETXML_ASSIGN_OR_RETURN(std::string derived_payload,
-                               model::SerializeDerivedSection(entry.doc));
-      sections.push_back(model::PendingSection{model::kDerivedSectionId,
-                                               std::nullopt,
-                                               std::move(derived_payload)});
-    }
   }
-  sections.front() = model::PendingSection{model::kCatalogSectionId,
-                                           std::nullopt, directory.Take()};
+  // The keep-or-append section list and the new CTLG directory — the
+  // same plan the full rewrite serializes, so the two writers produce
+  // interchangeable images.
+  std::vector<EntrySectionMap> ats;
+  MEETXML_ASSIGN_OR_RETURN(std::vector<model::PendingSection> sections,
+                           PlanSections(/*keep_placed=*/true, &ats));
 
   uint64_t kept_bytes = 0, new_bytes = 0;
   size_t kept_count = 0, new_count = 0;
@@ -1093,10 +969,7 @@ Status Catalog::SaveToFile(const std::string& path,
   // from this very path keeps borrowing from the old inode's mapping
   // while the new image takes over the directory entry.
   std::vector<EntrySectionMap> mapping;
-  MEETXML_ASSIGN_OR_RETURN(
-      std::string bytes,
-      SerializeImage(options.payload_format, options.derived_sections,
-                     &mapping));
+  MEETXML_ASSIGN_OR_RETURN(std::string bytes, SerializeImage(&mapping));
   MEETXML_RETURN_NOT_OK(util::WriteFileAtomic(path, bytes));
   // Refresh the placement bookkeeping against what was just written,
   // so the next in-place save can append to it. A cheap unverified
@@ -1107,7 +980,7 @@ Status Catalog::SaveToFile(const std::string& path,
   scan.verify_checksums = false;
   Result<model::SectionImage> written =
       model::LoadSectionsFromBytes(bytes, scan);
-  if (written.ok() && written->dir_offset != 0) {
+  if (written.ok()) {
     auto placement_of = [&](size_t at) {
       const SectionView& section = written->sections[at];
       return model::SectionPlacement{section.id, section.offset,
@@ -1115,18 +988,13 @@ Status Catalog::SaveToFile(const std::string& path,
                                      section.checksum};
     };
     for (size_t i = 0; i < entries_.size(); ++i) {
-      if (mapping[i].doc_at != SIZE_MAX) {
-        entries_[i]->placed.doc = placement_of(mapping[i].doc_at);
-      }
-      if (mapping[i].derived_at != SIZE_MAX) {
-        entries_[i]->placed.derived = placement_of(mapping[i].derived_at);
-      }
+      entries_[i]->placed.doc = placement_of(mapping[i].doc_at);
+      entries_[i]->placed.derived = placement_of(mapping[i].derived_at);
       if (mapping[i].index_at != SIZE_MAX) {
         entries_[i]->placed.index = placement_of(mapping[i].index_at);
       }
     }
-    origin_ = OriginImage{path, written->minor, bytes.size(),
-                          written->dir_offset};
+    origin_ = OriginImage{path, bytes.size(), written->dir_offset};
   }
   if (options.stats != nullptr) {
     options.stats->file_size = bytes.size();

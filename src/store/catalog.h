@@ -8,23 +8,16 @@
 // its XML on start-up. The catalog closes that gap: it manages a set
 // of named documents (add/remove/rename/get, stable document ids) and
 // persists all of them — each with its optional full-text index — in a
-// single MXM2 image.
+// single image (model/storage_io.h's one layout).
 //
 // Image layout:
 //   CTLG section: the catalog directory (codec below)
-//   per document, one document section — aligned columnar DOC2 by
-//   default, DOC1/DOC0 when pinned (model/storage_io.h payloads) —
-//   its persisted derived columns (DRV1, written by default with
-//   DOC2), and, when an index exists, one TIDX section
-//   (text/index_io.h payload)
-// Minor stamp: 6 when DRV1 sections are aboard (the default), 5 when
-// any document section is aligned columnar (DOC2) without them, 4 for
-// unaligned columnar (DOC1), otherwise 3 for multi-document images
-// and 2 for one-document images (which legacy single-document readers
-// can still open).
+//   per document, its DOC2 section, its DRV1 derived-columns section
+//   and, when an index exists, one TIDX section (text/index_io.h
+//   payload)
 //
 // Zero-copy open: CatalogLoadOptions::mode == kView decodes every
-// DOC2 section as a view-backed document borrowing straight from the
+// document as a view-backed document borrowing straight from the
 // image bytes (model/storage_io.h's lifetime contract).
 // Catalog::LoadFromFile pins the shared file mapping into each
 // borrowing document, so the catalog keeps the mapping alive for
@@ -34,19 +27,18 @@
 // keep the old inode's mapping).
 //
 // CTLG payload (little-endian, varints are LEB128):
-//   u8 codec version (1 or 2)
+//   u8 codec version (2)
 //   varint next_doc_id
 //   varint entry count, then per entry in ascending id order:
 //     varint doc id | name (varint length + bytes)
 //     varint doc section index (position in the image directory)
 //     varint index section index + 1 (0 = the document has no TIDX)
-//     codec >= 2 only: varint derived section index + 1 (0 = none)
-// The writer stays on codec 1 when no entry carries a DRV1 section,
-// so rollback images remain readable by older binaries. Every
-// document/TIDX/DRV1 section must be referenced by exactly one entry;
-// dangling or doubly-referenced sections are rejected. Legacy MXM1 and
-// single-document MXM2 images (no CTLG section) load as a one-entry
-// catalog named after the document's root tag.
+//     varint derived section index + 1 (never 0: DRV1 is required)
+// Every DOC2/TIDX/DRV1 section must be referenced by exactly one
+// entry; dangling or doubly-referenced sections are rejected.
+// Single-document images written by model/storage_io.h (no CTLG
+// section) load as a one-entry catalog named after the document's
+// root tag.
 //
 // Loading decodes the per-document sections in parallel on a thread
 // pool (the checksummed sections are independent by construction), so
@@ -67,7 +59,7 @@
 // the other entries down. Warm() forces everything eagerly.
 //
 // Incremental save (CatalogSaveOptions::in_place): when the catalog
-// still sits on the minor-6 file it was loaded from, SaveToFile
+// still sits on the image file it was loaded from, SaveToFile
 // appends only the sections that changed (plus a fresh CTLG and
 // directory) and repoints the header's directory offset — a
 // single-word commit, crash-safe on both sides. Superseded sections
@@ -98,7 +90,8 @@ namespace meetxml {
 namespace store {
 
 /// \brief Per-load observability: how long each document's sections
-/// took to decode and which payload codec they used. Filled when a
+/// took to decode and what they cost in copied or viewed bytes. Filled
+/// when a
 /// CatalogLoadOptions::stats pointer is supplied (the query shell's
 /// `\open` report).
 struct CatalogLoadStats {
@@ -107,13 +100,11 @@ struct CatalogLoadStats {
     /// Wall time decoding this document's sections (document + index),
     /// measured on the decoding worker.
     double decode_ms = 0;
-    /// True when the document section was columnar (DOC1 or DOC2).
-    bool columnar = false;
     /// True when a persisted TIDX section was decoded alongside.
     bool indexed = false;
-    /// What actually happened to this document's columns: kView only
-    /// for DOC2 sections decoded under CatalogLoadOptions::mode ==
-    /// kView; everything else copies.
+    /// What actually happened to this document's columns: kView for
+    /// documents decoded under CatalogLoadOptions::mode == kView;
+    /// everything else copies.
     model::LoadMode mode = model::LoadMode::kCopy;
     /// Image bytes memcpy'd into owned columns (near zero on the
     /// zero-copy path) vs. borrowed as views over the mapping.
@@ -123,7 +114,8 @@ struct CatalogLoadStats {
   std::vector<DocumentStats> documents;
   /// End-to-end LoadFromBytes wall time.
   double total_ms = 0;
-  /// Decode workers actually used (1 for legacy/serial loads).
+  /// Decode workers actually used (1 for single-document images and
+  /// serial loads).
   unsigned threads_used = 1;
   /// Entries a lazy open left undecoded (0 for eager loads).
   size_t deferred_documents = 0;
@@ -140,11 +132,11 @@ struct CatalogLoadOptions {
   unsigned threads = 0;
   /// When non-null, receives per-document decode timings.
   CatalogLoadStats* stats = nullptr;
-  /// kView borrows DOC2 columns from the image instead of copying
-  /// them (model/storage_io.h's lifetime contract; non-DOC2 sections
-  /// fall back to copying). LoadFromFile pins the file mapping
-  /// automatically; byte-level view loads either set `backing` or
-  /// leave the caller responsible for the bytes' lifetime.
+  /// kView borrows the columns from the image instead of copying
+  /// them (model/storage_io.h's lifetime contract). LoadFromFile pins
+  /// the file mapping automatically; byte-level view loads either set
+  /// `backing` or leave the caller responsible for the bytes'
+  /// lifetime.
   model::LoadMode mode = model::LoadMode::kCopy;
   /// Optional keep-alive pinned into every view-backed document.
   std::shared_ptr<const void> backing;
@@ -154,7 +146,8 @@ struct CatalogLoadOptions {
   /// LoadFromFile keeps the file mapping pinned for the pending
   /// entries; a lazy LoadFromBytes requires `backing` (or the caller
   /// keeping `bytes` alive for the catalog's lifetime). Ignored for
-  /// legacy images without a CTLG section, which decode eagerly.
+  /// single-document images without a CTLG section, which decode
+  /// eagerly.
   bool lazy = false;
   /// Graceful degradation for eager opens: an entry whose sections fail
   /// their checksum or decode is *quarantined* — parked behind a sticky
@@ -187,15 +180,7 @@ struct CatalogSaveStats {
 
 /// \brief Knobs for Catalog::SaveToFile.
 struct CatalogSaveOptions {
-  /// Document codec — aligned columnar DOC2 (default), or DOC1/DOC0
-  /// for rollback images.
-  model::DocumentPayloadFormat payload_format =
-      model::DocumentPayloadFormat::kColumnar;
-  /// Persist derived columns (DRV1) next to each DOC2 section so the
-  /// next open skips rebuilding them. Off, or with a non-DOC2
-  /// payload_format, the image stays on the previous minors.
-  bool derived_sections = true;
-  /// Append changed sections to the existing minor-6 image (loaded
+  /// Append changed sections to the existing image (loaded
   /// from or last saved to the same path) instead of rewriting it;
   /// silently falls back to the full rewrite when the image does not
   /// qualify.
@@ -207,9 +192,8 @@ struct CatalogSaveOptions {
   CatalogSaveStats* stats = nullptr;
 };
 
-/// \brief Where an entry's sections sit in the origin image file
-/// (trailing-directory images only) — the incremental writer's
-/// keep-list.
+/// \brief Where an entry's sections sit in the origin image file —
+/// the incremental writer's keep-list.
 struct SectionPlacements {
   std::optional<model::SectionPlacement> doc;
   std::optional<model::SectionPlacement> derived;
@@ -350,21 +334,15 @@ class Catalog {
   /// \brief Serializes the whole catalog into one image. Documents
   /// whose index exists (persisted, EnsureIndex'd, or lazily built by
   /// an executor) carry a TIDX section; the rest rebuild lazily after
-  /// load. `payload_format` picks the document codec — aligned
-  /// columnar DOC2 (default), or DOC1/DOC0 for rollback images.
-  /// View-backed documents serialize fine (reads never promote), and
-  /// pending entries are materialized first. `derived_sections`
-  /// persists DRV1 alongside each DOC2 section (minor 6, CTLG codec
-  /// 2); turning it off reproduces the previous minors for rollback.
-  util::Result<std::string> SaveToBytes(
-      model::DocumentPayloadFormat payload_format =
-          model::DocumentPayloadFormat::kColumnar,
-      bool derived_sections = true) const;
+  /// load. View-backed documents serialize fine (reads never promote),
+  /// and pending entries are materialized first.
+  util::Result<std::string> SaveToBytes() const;
 
-  /// \brief Loads a catalog image — or any legacy MXM1/MXM2
-  /// single-document image, which becomes a one-entry catalog named
-  /// after its root tag. Per-document sections decode in parallel
-  /// (first error in directory order wins); see CatalogLoadOptions.
+  /// \brief Loads a catalog image — or a single-document image
+  /// (model::SaveToBytes, text::SaveStoreToBytes), which becomes a
+  /// one-entry catalog named after its root tag. Per-document sections
+  /// decode in parallel (first error in directory order wins); see
+  /// CatalogLoadOptions.
   static util::Result<Catalog> LoadFromBytes(
       std::string_view bytes, const CatalogLoadOptions& options = {});
 
@@ -373,8 +351,8 @@ class Catalog {
   /// (temp file + rename), so saving over the image a view-backed
   /// catalog was loaded from is safe.
   util::Status SaveToFile(const std::string& path) const;
-  /// \brief SaveToFile with knobs: document codec, DRV1 emission, and
-  /// the in-place append mode (see CatalogSaveOptions).
+  /// \brief SaveToFile with knobs: the in-place append mode and its
+  /// compaction threshold (see CatalogSaveOptions).
   util::Status SaveToFile(const std::string& path,
                           const CatalogSaveOptions& options) const;
   static util::Result<Catalog> LoadFromFile(
@@ -390,30 +368,36 @@ class Catalog {
   util::Status Materialize(const NamedDocument* entry) const;
   util::Status MaterializeLocked(const NamedDocument* entry) const;
 
-  /// Shared writer for SaveToBytes and the full-rewrite save path;
-  /// when `mapping` is non-null it records, per entry, the image
-  /// directory positions of its sections (SIZE_MAX = absent).
+  /// Per entry, the image directory positions of its sections
+  /// (index_at is SIZE_MAX when the entry has no TIDX).
   struct EntrySectionMap {
     size_t doc_at = SIZE_MAX;
     size_t derived_at = SIZE_MAX;
     size_t index_at = SIZE_MAX;
   };
+  /// The next image's section list, shared by both writers: the CTLG
+  /// directory, then per entry its DOC2, optional TIDX and DRV1
+  /// sections — kept at their origin-image placement when
+  /// `keep_placed` and the entry has one, serialized otherwise (the
+  /// entry must then be materialized). Fills `mapping` per entry.
+  util::Result<std::vector<model::PendingSection>> PlanSections(
+      bool keep_placed, std::vector<EntrySectionMap>* mapping) const;
+  /// Shared writer for SaveToBytes and the full-rewrite save path:
+  /// materializes every entry and serializes PlanSections' plan.
   util::Result<std::string> SerializeImage(
-      model::DocumentPayloadFormat payload_format, bool derived_sections,
       std::vector<EntrySectionMap>* mapping) const;
 
   /// Attempts the in-place append; returns false when the image does
-  /// not qualify (wrong path/minor/format) or compaction is due, in
-  /// which case the caller runs the full rewrite.
+  /// not qualify (another path, a pending entry without placements) or
+  /// compaction is due, in which case the caller runs the full
+  /// rewrite.
   util::Result<bool> TrySaveInPlace(const std::string& path,
                                     const CatalogSaveOptions& options) const;
 
-  /// The file image this catalog's placements refer to. Tracked for
-  /// trailing-directory (minor >= 6) images only; reset whenever the
-  /// catalog is saved elsewhere or in a non-appendable format.
+  /// The file image this catalog's placements refer to; reset whenever
+  /// the catalog is saved elsewhere.
   struct OriginImage {
     std::string path;
-    uint32_t minor = 0;
     uint64_t file_size = 0;
     uint64_t dir_offset = 0;
   };

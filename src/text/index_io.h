@@ -1,9 +1,9 @@
-// Persistence of the full-text indexes (MXM2 "TIDX" section).
+// Persistence of the full-text indexes (the "TIDX" image section).
 //
 // The paper's Fig. 6 experiment pays ~1207 ms for the full-text scan
 // that feeds the 2 ms meet — and this reproduction used to rebuild the
 // inverted word and trigram indexes from scratch on every
-// Executor::Build. Persisting them alongside the document in the MXM2
+// Executor::Build. Persisting them alongside the document in the
 // storage image (model/storage_io.h) turns index construction into a
 // straight decode: sorted posting lists are delta-encoded against a
 // packed (path, owner) key and reload without tokenizing a single
@@ -58,14 +58,14 @@ struct PersistentStore {
   std::optional<InvertedIndex> index;
 };
 
-/// \brief Saves an MXM2 image with the document and, when `index` is
+/// \brief Saves an image with the document and, when `index` is
 /// non-null, the persisted full-text indexes.
 util::Result<std::string> SaveStoreToBytes(const model::StoredDocument& doc,
                                            const InvertedIndex* index);
 
-/// \brief Loads an image saved by SaveStoreToBytes (or any MXM1/MXM2
-/// image; `index` stays empty when the image has no TIDX section —
-/// v1 images never do — so callers rebuild lazily). `options` selects
+/// \brief Loads an image saved by SaveStoreToBytes (or by
+/// model::SaveToBytes; `index` stays empty when the image has no TIDX
+/// section, so callers rebuild lazily). `options` selects
 /// the load mode: in view mode the document borrows its columns from
 /// `bytes` under model/storage_io.h's lifetime contract (the index is
 /// always decoded into owned postings).

@@ -204,39 +204,6 @@ TEST(IndexPersistence, RejectsCorruptIndexPayloads) {
   EXPECT_FALSE(text::DeserializeIndex(bytes + "x").ok());
 }
 
-TEST(StorageCompat, V1ImagesStillLoad) {
-  StoredDocument doc = MustShred("<a x=\"1\"><b>two</b><c/></a>");
-  SaveOptions v1;
-  v1.format_version = 1;
-  auto v1_bytes = SaveToBytes(doc, v1);
-  ASSERT_TRUE(v1_bytes.ok());
-  EXPECT_EQ(v1_bytes->substr(0, 4), "MXM1");
-
-  auto loaded = LoadFromBytes(*v1_bytes);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->node_count(), doc.node_count());
-  EXPECT_EQ(loaded->string_count(), doc.string_count());
-
-  auto image = LoadImageFromBytes(*v1_bytes);
-  ASSERT_TRUE(image.ok());
-  EXPECT_EQ(image->format_version, 1u);
-  EXPECT_TRUE(image->extra_sections.empty());
-
-  // Default saves are MXM2 now; both decode to the same document.
-  auto v2_bytes = SaveToBytes(doc);
-  ASSERT_TRUE(v2_bytes.ok());
-  EXPECT_EQ(v2_bytes->substr(0, 4), "MXM2");
-  auto v2_loaded = LoadFromBytes(*v2_bytes);
-  ASSERT_TRUE(v2_loaded.ok());
-  EXPECT_EQ(MustImage(*v2_loaded), MustImage(*loaded));
-
-  // v1 cannot carry sections.
-  SaveOptions bad;
-  bad.format_version = 1;
-  bad.extra_sections.push_back(ImageSection{kTextIndexSectionId, "x"});
-  EXPECT_FALSE(SaveToBytes(doc, bad).ok());
-}
-
 TEST(LazyExecutor, BuildsIndexOnlyForTextPredicates) {
   StoredDocument doc = MustShred(
       "<lib><book t=\"one\">alpha beta</book><book>gamma</book></lib>");

@@ -1,6 +1,6 @@
 // Tests for the multi-document store catalog and the cross-document
 // query routing on top of it: round-trips through one image, rename /
-// remove / reload, legacy single-document images, glob scoping, and
+// remove / reload, single-document images, glob scoping, and
 // the pinned equivalence between MultiExecutor answers and the
 // per-document single-executor answers.
 
@@ -186,9 +186,9 @@ TEST(Catalog, EnsureIndexAfterExecutorBuildsExactlyOneIndex) {
   EXPECT_TRUE(loaded.Find("paper")->index.has_value());
 }
 
-TEST(Catalog, RowAndColumnarCatalogImagesLoadIdentically) {
-  // The catalog-level byte-equality pin: a DOC0-pinned image and the
-  // default DOC2 image restore the same catalog, shown by both loads
+TEST(Catalog, CopyAndViewLoadsReserializeIdentically) {
+  // The catalog-level byte-equality pin: a copy-mode and a view-mode
+  // load of the same image restore the same catalog, shown by both
   // re-serializing to the very same bytes.
   Catalog catalog;
   StoredDocument paper = MustShred(data::PaperExampleXml());
@@ -202,35 +202,40 @@ TEST(Catalog, RowAndColumnarCatalogImagesLoadIdentically) {
             .ok());
   }
 
-  auto columnar = catalog.SaveToBytes();
-  auto row = catalog.SaveToBytes(model::DocumentPayloadFormat::kRowOriented);
-  ASSERT_TRUE(columnar.ok() && row.ok());
-  EXPECT_EQ((*columnar)[4], 6);  // minor revision (DRV1 sections aboard)
-  EXPECT_EQ((*row)[4], 3);
-
-  auto from_columnar = Catalog::LoadFromBytes(*columnar);
-  auto from_row = Catalog::LoadFromBytes(*row);
-  ASSERT_TRUE(from_columnar.ok()) << from_columnar.status();
-  ASSERT_TRUE(from_row.ok()) << from_row.status();
-  auto columnar_again = from_row->SaveToBytes();
-  auto row_again =
-      from_columnar->SaveToBytes(model::DocumentPayloadFormat::kRowOriented);
-  ASSERT_TRUE(columnar_again.ok() && row_again.ok());
-  EXPECT_EQ(*columnar_again, *columnar);
-  EXPECT_EQ(*row_again, *row);
+  auto bytes = catalog.SaveToBytes();
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ((*bytes)[4], 6);  // minor revision
+  for (model::LoadMode mode :
+       {model::LoadMode::kCopy, model::LoadMode::kView}) {
+    CatalogLoadOptions options;
+    options.mode = mode;
+    auto loaded = Catalog::LoadFromBytes(*bytes, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    auto again = loaded->SaveToBytes();
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(*again, *bytes);
+  }
 }
 
-TEST(Catalog, EmptyCatalogStaysLegacyReadable) {
-  // No document sections aboard means nothing needs the minor-4
-  // contract: an empty catalog stays a minor-2 image that older
-  // readers can open.
+TEST(Catalog, EmptyCatalogIsAMinor6Image) {
+  // An empty catalog is written in the one layout like any other: a
+  // minor-6 image holding just its CTLG section (codec 2).
   Catalog catalog;
   auto bytes = catalog.SaveToBytes();
   ASSERT_TRUE(bytes.ok());
-  EXPECT_EQ((*bytes)[4], 2);
-  auto loaded = Catalog::LoadFromBytes(*bytes);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_TRUE(loaded->empty());
+  EXPECT_EQ((*bytes)[4], 6);
+  auto sections = model::LoadSectionsFromBytes(*bytes);
+  ASSERT_TRUE(sections.ok()) << sections.status();
+  ASSERT_EQ(sections->sections.size(), 1u);
+  EXPECT_EQ(sections->sections[0].id, model::kCatalogSectionId);
+  EXPECT_EQ(sections->sections[0].bytes[0], 2);
+  for (bool lazy : {false, true}) {
+    CatalogLoadOptions options;
+    options.lazy = lazy;
+    auto loaded = Catalog::LoadFromBytes(*bytes, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_TRUE(loaded->empty());
+  }
 }
 
 TEST(Catalog, ParallelAndSerialDecodeAgree) {
@@ -267,7 +272,7 @@ TEST(Catalog, ParallelAndSerialDecodeAgree) {
   EXPECT_EQ(parallel_stats.threads_used, 8u);
   ASSERT_EQ(parallel_stats.documents.size(), 8u);
   for (const auto& doc_stats : parallel_stats.documents) {
-    EXPECT_TRUE(doc_stats.columnar);
+    EXPECT_EQ(doc_stats.mode, model::LoadMode::kCopy);
     EXPECT_FALSE(doc_stats.indexed);
   }
 }
@@ -289,12 +294,12 @@ TEST(Catalog, ParallelDecodeReportsTheFirstBrokenEntry) {
   size_t doc_sections = 0;
   for (const model::SectionView& section : sections->sections) {
     std::string payload(section.bytes);
-    if (model::IsDocumentSectionId(section.id) && ++doc_sections == 3) {
+    if (section.id == model::kDocumentSectionId && ++doc_sections == 3) {
       payload.resize(payload.size() / 2);  // truncate the third document
     }
     tampered.push_back(model::ImageSection{section.id, std::move(payload)});
   }
-  auto rewritten = model::SaveSectionsToBytes(tampered, 4);
+  auto rewritten = model::SaveSectionsToBytes(tampered);
   ASSERT_TRUE(rewritten.ok());
   for (unsigned threads : {1u, 8u}) {
     CatalogLoadOptions options;
@@ -314,23 +319,26 @@ TEST(Catalog, TidxAtDirectoryPositionZeroIsNotDropped) {
   ASSERT_TRUE(index.ok());
   size_t postings = index->posting_count();
   auto doc_payload = model::SerializeDocumentSection(doc);
-  ASSERT_TRUE(doc_payload.ok());
+  auto derived_payload = model::SerializeDerivedSection(doc);
+  ASSERT_TRUE(doc_payload.ok() && derived_payload.ok());
 
   util::ByteWriter directory;
-  directory.U8(1);       // codec version
+  directory.U8(2);       // codec version
   directory.Varint(1);   // next_doc_id
   directory.Varint(1);   // one entry
   directory.Varint(0);   // id
   directory.StrVarint("paper");
   directory.Varint(2);   // doc section position
   directory.Varint(1);   // index section position + 1 -> position 0
+  directory.Varint(4);   // derived section position + 1 -> position 3
   auto image = model::SaveSectionsToBytes(
       {model::ImageSection{model::kTextIndexSectionId,
                            text::SerializeIndex(*index)},
        model::ImageSection{model::kCatalogSectionId, directory.Take()},
-       model::ImageSection{model::kAlignedColumnarDocumentSectionId,
-                           std::move(*doc_payload)}},
-      5);
+       model::ImageSection{model::kDocumentSectionId,
+                           std::move(*doc_payload)},
+       model::ImageSection{model::kDerivedSectionId,
+                           std::move(*derived_payload)}});
   ASSERT_TRUE(image.ok());
 
   auto loaded = Catalog::LoadFromBytes(*image);
@@ -345,23 +353,68 @@ TEST(Catalog, RejectsOverflowingNextDocId) {
   // truncate and hand out duplicate ids on the next Add; the loader
   // must reject it up front.
   util::ByteWriter payload;
-  payload.U8(1);                          // codec version
+  payload.U8(2);                          // codec version
   payload.Varint(uint64_t{1} << 32);      // next_doc_id beyond u32
   payload.Varint(0);                      // no entries
   auto image = model::SaveSectionsToBytes(
-      {model::ImageSection{model::kCatalogSectionId, payload.Take()}}, 2);
+      {model::ImageSection{model::kCatalogSectionId, payload.Take()}});
   ASSERT_TRUE(image.ok());
   EXPECT_FALSE(Catalog::LoadFromBytes(*image).ok());
 }
 
+TEST(Catalog, DirectoryNeedsCodec2AndADerivedSectionPerEntry) {
+  // The CTLG codec-1 directory (no derived references) is retired, and
+  // a codec-2 entry whose derived reference is "none" is corruption:
+  // documents are never rebuilt at open time.
+  StoredDocument doc = MustShred("<a><b>x</b></a>");
+  auto doc_payload = model::SerializeDocumentSection(doc);
+  auto derived_payload = model::SerializeDerivedSection(doc);
+  ASSERT_TRUE(doc_payload.ok() && derived_payload.ok());
+  auto image_with = [&](uint8_t codec, uint64_t derived_at_plus_one) {
+    util::ByteWriter directory;
+    directory.U8(codec);
+    directory.Varint(1);  // next_doc_id
+    directory.Varint(1);  // one entry
+    directory.Varint(0);  // id
+    directory.StrVarint("a");
+    directory.Varint(1);  // doc section position
+    directory.Varint(0);  // no index
+    directory.Varint(derived_at_plus_one);
+    auto image = model::SaveSectionsToBytes(
+        {model::ImageSection{model::kCatalogSectionId, directory.Take()},
+         model::ImageSection{model::kDocumentSectionId, *doc_payload},
+         model::ImageSection{model::kDerivedSectionId, *derived_payload}});
+    EXPECT_TRUE(image.ok()) << image.status();
+    return *image;
+  };
+  ASSERT_TRUE(Catalog::LoadFromBytes(image_with(2, 3)).ok());
+  for (bool lazy : {false, true}) {
+    CatalogLoadOptions options;
+    options.lazy = lazy;
+    auto codec1 = Catalog::LoadFromBytes(image_with(1, 3), options);
+    ASSERT_FALSE(codec1.ok());
+    EXPECT_NE(codec1.status().message().find("unsupported catalog codec"),
+              std::string::npos)
+        << codec1.status();
+    auto no_derived = Catalog::LoadFromBytes(image_with(2, 0), options);
+    ASSERT_FALSE(no_derived.ok());
+    EXPECT_NE(no_derived.status().message().find("without a derived"),
+              std::string::npos)
+        << no_derived.status();
+  }
+}
+
 TEST(Catalog, LegacyImagesLoadAsOneEntryCatalog) {
+  // Images written by the single-document API carry no CTLG section;
+  // they open as a one-entry catalog, in both load modes.
   StoredDocument doc = MustShred(data::PaperExampleXml());
-  for (uint32_t version : {1u, 2u}) {
-    model::SaveOptions options;
-    options.format_version = version;
-    auto bytes = model::SaveToBytes(doc, options);
-    ASSERT_TRUE(bytes.ok());
-    auto catalog = Catalog::LoadFromBytes(*bytes);
+  auto bytes = model::SaveToBytes(doc);
+  ASSERT_TRUE(bytes.ok());
+  for (model::LoadMode mode :
+       {model::LoadMode::kCopy, model::LoadMode::kView}) {
+    CatalogLoadOptions options;
+    options.mode = mode;
+    auto catalog = Catalog::LoadFromBytes(*bytes, options);
     ASSERT_TRUE(catalog.ok()) << catalog.status();
     EXPECT_EQ(catalog->size(), 1u);
     // Named after the root tag.
@@ -384,25 +437,19 @@ TEST(Catalog, LegacyStoreBundleKeepsItsIndex) {
 }
 
 TEST(Catalog, SingleDocumentCatalogDegradesToLegacyReaders) {
-  // A one-document row-oriented catalog is stamped minor 2: the
-  // single-document loaders skip the CTLG section and still get the
-  // document (and its TIDX). The DOC1 default opens through the same
-  // API too (minor 4 readers understand both payloads). A
-  // multi-document catalog is rejected by the single-document API.
+  // A one-document catalog opens through the single-document loaders:
+  // they skip the CTLG section as unknown and still get the document
+  // (and its TIDX). A multi-document catalog is rejected by the
+  // single-document API.
   Catalog catalog;
   ASSERT_TRUE(
       catalog.Add("paper", MustShred(data::PaperExampleXml())).ok());
   MEETXML_CHECK_OK(catalog.EnsureIndex("paper"));
-  for (auto format : {model::DocumentPayloadFormat::kRowOriented,
-                      model::DocumentPayloadFormat::kColumnar}) {
-    auto single = catalog.SaveToBytes(format);
-    ASSERT_TRUE(single.ok());
-    auto store = text::LoadStoreFromBytes(*single);
-    ASSERT_TRUE(store.ok()) << store.status();
-    EXPECT_TRUE(store->index.has_value());
-  }
-  EXPECT_EQ((*catalog.SaveToBytes(
-      model::DocumentPayloadFormat::kRowOriented))[4], 2);
+  auto single = catalog.SaveToBytes();
+  ASSERT_TRUE(single.ok());
+  auto store = text::LoadStoreFromBytes(*single);
+  ASSERT_TRUE(store.ok()) << store.status();
+  EXPECT_TRUE(store->index.has_value());
 
   ASSERT_TRUE(catalog.Add("second", MustShred("<a><b>x</b></a>")).ok());
   auto multi = catalog.SaveToBytes();
@@ -526,7 +573,7 @@ TEST(Catalog, LazyOpenIsolatesACorruptEntry) {
   size_t doc_sections = 0;
   size_t flip_at = 0;
   for (const model::SectionView& section : sections->sections) {
-    if (section.id == model::kAlignedColumnarDocumentSectionId &&
+    if (section.id == model::kDocumentSectionId &&
         ++doc_sections == 2) {
       flip_at = section.offset + section.bytes.size() / 2;
     }
@@ -570,7 +617,7 @@ TEST(Catalog, QuarantineOpenDegradesOneRottenEntryNotTheStore) {
   size_t doc_sections = 0;
   size_t flip_at = 0;
   for (const model::SectionView& section : sections->sections) {
-    if (section.id == model::kAlignedColumnarDocumentSectionId &&
+    if (section.id == model::kDocumentSectionId &&
         ++doc_sections == 2) {
       flip_at = section.offset + section.bytes.size() / 2;
     }
@@ -653,9 +700,7 @@ TEST(Catalog, LazyOpenFallsBackToEagerForLegacyImages) {
   // A doc-only image has no CTLG directory to defer behind; a lazy
   // open quietly decodes it eagerly.
   StoredDocument doc = MustShred(NumberedXml(7));
-  model::SaveOptions save;
-  save.derived_section = false;
-  auto bytes = model::SaveToBytes(doc, save);
+  auto bytes = model::SaveToBytes(doc);
   ASSERT_TRUE(bytes.ok());
   CatalogLoadStats stats;
   CatalogLoadOptions options;

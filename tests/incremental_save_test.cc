@@ -7,7 +7,6 @@
 // bookkeeping contracts: what an append keeps vs. writes, and the
 // dead-space threshold that forces a compacting rewrite.
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -25,11 +24,9 @@ namespace store {
 namespace {
 
 using meetxml::testing::MustShred;
+using meetxml::testing::TempFile;
 using model::StoredDocument;
 
-std::string TempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 std::string CorpusXml(int n) {
   std::string xml = "<doc><entry><title>corpus number " +
@@ -93,7 +90,8 @@ void ExpectMatchesFullRewrite(const Catalog& catalog,
 }
 
 TEST(IncrementalSave, RandomOpSequencesMatchFullRewrite) {
-  std::string path = TempPath("meetxml_incsave_prop.mxm");
+  TempFile file("incsave_prop.mxm");
+  const std::string& path = file.path();
   Catalog catalog;
   int counter = 0;
   for (; counter < 3; ++counter) {
@@ -147,11 +145,11 @@ TEST(IncrementalSave, RandomOpSequencesMatchFullRewrite) {
   // The sequence must have exercised the append path, not just fallen
   // back to rewrites every round.
   EXPECT_GT(in_place_saves, 8u);
-  std::filesystem::remove(path);
 }
 
 TEST(IncrementalSave, SingleAddAppendsInsteadOfRewriting) {
-  std::string path = TempPath("meetxml_incsave_add.mxm");
+  TempFile file("incsave_add.mxm");
+  const std::string& path = file.path();
   Catalog catalog;
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(catalog
@@ -186,11 +184,11 @@ TEST(IncrementalSave, SingleAddAppendsInsteadOfRewriting) {
   EXPECT_LT(stats.dead_bytes, before->size());
 
   ExpectMatchesFullRewrite(catalog, path);
-  std::filesystem::remove(path);
 }
 
 TEST(IncrementalSave, RepeatedAppendsAccumulateDeadBytesMonotonically) {
-  std::string path = TempPath("meetxml_incsave_dead.mxm");
+  TempFile file("incsave_dead.mxm");
+  const std::string& path = file.path();
   Catalog catalog;
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(catalog
@@ -215,11 +213,11 @@ TEST(IncrementalSave, RepeatedAppendsAccumulateDeadBytesMonotonically) {
     last_dead = stats.dead_bytes;
   }
   ExpectMatchesFullRewrite(catalog, path);
-  std::filesystem::remove(path);
 }
 
 TEST(IncrementalSave, CompactionThresholdForcesRewrite) {
-  std::string path = TempPath("meetxml_incsave_compact.mxm");
+  TempFile file("incsave_compact.mxm");
+  const std::string& path = file.path();
   Catalog catalog;
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(catalog
@@ -254,11 +252,11 @@ TEST(IncrementalSave, CompactionThresholdForcesRewrite) {
   MEETXML_CHECK_OK(catalog.SaveToFile(path, save));
   EXPECT_TRUE(again.in_place);
   ExpectMatchesFullRewrite(catalog, path);
-  std::filesystem::remove(path);
 }
 
 TEST(IncrementalSave, IndexedEntriesKeepTheirTidxAcrossAppends) {
-  std::string path = TempPath("meetxml_incsave_tidx.mxm");
+  TempFile file("incsave_tidx.mxm");
+  const std::string& path = file.path();
   Catalog catalog;
   ASSERT_TRUE(catalog.Add("indexed", MustShred(CorpusXml(1))).ok());
   MEETXML_CHECK_OK(catalog.EnsureIndex("indexed"));
@@ -278,13 +276,13 @@ TEST(IncrementalSave, IndexedEntriesKeepTheirTidxAcrossAppends) {
   EXPECT_TRUE(loaded->Find("indexed")->index.has_value());
   EXPECT_FALSE(loaded->Find("plain")->index.has_value());
   ExpectMatchesFullRewrite(catalog, path);
-  std::filesystem::remove(path);
 }
 
 TEST(IncrementalSave, InPlaceIntoAForeignPathFallsBackToRewrite) {
   // No origin bookkeeping for that path — the save must quietly do the
   // full rewrite rather than fail or corrupt anything.
-  std::string path = TempPath("meetxml_incsave_foreign.mxm");
+  TempFile file("incsave_foreign.mxm");
+  const std::string& path = file.path();
   Catalog catalog;
   ASSERT_TRUE(catalog.Add("only", MustShred(CorpusXml(3))).ok());
   CatalogSaveStats stats;
@@ -294,7 +292,6 @@ TEST(IncrementalSave, InPlaceIntoAForeignPathFallsBackToRewrite) {
   MEETXML_CHECK_OK(catalog.SaveToFile(path, save));
   EXPECT_FALSE(stats.in_place);
   ExpectMatchesFullRewrite(catalog, path);
-  std::filesystem::remove(path);
 }
 
 }  // namespace

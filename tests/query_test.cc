@@ -166,6 +166,10 @@ struct BadQuery {
   const char* text;
 };
 
+// gtest would print the two pointers' bytes, which change from build to
+// build; the case name keeps each registered test name stable.
+void PrintTo(const BadQuery& query, std::ostream* os) { *os << query.name; }
+
 class ParserErrorTest : public ::testing::TestWithParam<BadQuery> {};
 
 TEST_P(ParserErrorTest, Rejects) {

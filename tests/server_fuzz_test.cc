@@ -240,7 +240,6 @@ TEST(ServerFuzz, StatsV2AndDumpResponsesSurviveHostileBytes) {
   Response v2;
   v2.ok = true;
   v2.opcode = Opcode::kStats;
-  v2.stats.version = 2;
   v2.stats.sessions_active = 3;
   v2.stats.queries_served = 1000;
   v2.stats.request_errors = 17;
@@ -252,10 +251,6 @@ TEST(ServerFuzz, StatsV2AndDumpResponsesSurviveHostileBytes) {
       "meetxml_query_stage_us{stage=\"decode\"}", 2, 40000, 16383, 32767,
       32767});
   responses.push_back(v2);
-  Response v1 = v2;
-  v1.stats.version = 1;
-  v1.stats.histograms.clear();
-  responses.push_back(v1);
   Response dump;
   dump.ok = true;
   dump.opcode = Opcode::kDump;
@@ -296,14 +291,11 @@ TEST(ServerFuzz, StatsV2AndDumpResponsesSurviveHostileBytes) {
 // The v2 busy frame (status byte 2, the shed reply) under the same
 // hostile-bytes contract: truncations at every prefix and bit flips at
 // every byte must decode cleanly or be rejected, and anything accepted
-// must canonicalize in one re-encode. The v1 shape of the same shed —
-// EncodeBusyResponse with a negotiated version below 2 — must never
-// emit status byte 2 at all (a v1 decoder would reject the frame).
+// must canonicalize in one re-encode.
 TEST(ServerFuzz, BusyResponsesSurviveHostileBytes) {
   std::string encoded = EncodeBusyResponse(
       Opcode::kQuery, /*retry_after_ms=*/250,
-      "server overloaded: admission queue is full",
-      /*negotiated_version=*/2);
+      "server overloaded: admission queue is full");
   ASSERT_FALSE(encoded.empty());
   EXPECT_EQ(static_cast<uint8_t>(encoded[0]), 2u);
   auto decoded = DecodeResponse(encoded);
@@ -332,44 +324,34 @@ TEST(ServerFuzz, BusyResponsesSurviveHostileBytes) {
       if (flipped.ok()) expect_canonical_fixed_point(*flipped);
     }
   }
-
-  // The v1 fallback: a plain error frame with the hint folded into the
-  // message — never status byte 2.
-  std::string legacy = EncodeBusyResponse(
-      Opcode::kQuery, /*retry_after_ms=*/250, "server overloaded",
-      /*negotiated_version=*/1);
-  ASSERT_FALSE(legacy.empty());
-  EXPECT_EQ(static_cast<uint8_t>(legacy[0]), 1u);
-  auto legacy_decoded = DecodeResponse(legacy);
-  ASSERT_TRUE(legacy_decoded.ok()) << legacy_decoded.status();
-  EXPECT_FALSE(legacy_decoded->ok);
-  EXPECT_FALSE(legacy_decoded->busy);
-  EXPECT_NE(legacy_decoded->message.find("retry in ~250ms"),
-            std::string::npos);
 }
 
-// Version negotiation under the same no-crash contract: a v1 client on
-// a v2 server only ever sees the legacy four-varint stats body, and a
-// from-the-future HELLO is refused without touching the connection.
-TEST(ServerFuzz, VersionSkewNeverLeaksTheV2Extension) {
+// One wire version: HELLO at anything but 2 — the retired v1, version
+// 0, or a version from the future — is refused with an "unsupported
+// protocol version" error naming the one version spoken, and opens no
+// session. STATS before any HELLO gets the one body, histogram
+// summaries included, and the retired four-varint body no longer
+// decodes.
+TEST(ServerFuzz, OnlyProtocolVersion2IsSpoken) {
   QueryService service(&FuzzCatalog());
   auto connection = service.Connect();
   ASSERT_TRUE(connection.ok());
 
   Request hello;
   hello.opcode = Opcode::kHello;
-  hello.protocol_version = kProtocolVersion + 1;  // the future
-  auto refused = DecodeResponse(
-      (*connection)->HandlePayload(EncodeRequest(hello)));
-  ASSERT_TRUE(refused.ok());
-  EXPECT_FALSE(refused->ok);
-  EXPECT_EQ((*connection)->protocol_version(), 1u);
-
-  hello.protocol_version = 1;  // an old client
-  auto greeted = DecodeResponse(
-      (*connection)->HandlePayload(EncodeRequest(hello)));
-  ASSERT_TRUE(greeted.ok());
-  ASSERT_TRUE(greeted->ok);
+  for (uint64_t version : {uint64_t{0}, uint64_t{1}, kProtocolVersion + 1}) {
+    hello.protocol_version = version;
+    auto refused = DecodeResponse(
+        (*connection)->HandlePayload(EncodeRequest(hello)));
+    ASSERT_TRUE(refused.ok()) << refused.status();
+    EXPECT_FALSE(refused->ok);
+    EXPECT_FALSE(refused->busy);
+    EXPECT_EQ(refused->code, util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(refused->message, "unsupported protocol version " +
+                                    std::to_string(version) +
+                                    " (this server speaks 2..2)");
+    EXPECT_EQ((*connection)->session_id(), 0u);
+  }
 
   Request stats;
   stats.opcode = Opcode::kStats;
@@ -377,14 +359,26 @@ TEST(ServerFuzz, VersionSkewNeverLeaksTheV2Extension) {
   auto decoded = DecodeResponse(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   ASSERT_TRUE(decoded->ok);
-  EXPECT_EQ(decoded->stats.version, 1u);
-  EXPECT_TRUE(decoded->stats.histograms.empty());
-  // Byte-exact: the payload IS the legacy encoding of what it carries.
+  EXPECT_FALSE(decoded->stats.histograms.empty());
+  // Byte-exact: the payload IS the encoding of what it carries.
   Response expected;
   expected.ok = true;
   expected.opcode = Opcode::kStats;
   expected.stats = decoded->stats;
   EXPECT_EQ(payload, EncodeResponse(expected));
+  // The retired v1 body stops after the fourth varint.
+  util::ByteWriter v1_body;
+  v1_body.U8(0);  // ok
+  v1_body.U8(static_cast<uint8_t>(Opcode::kStats));
+  for (int i = 0; i < 4; ++i) v1_body.Varint(0);
+  EXPECT_FALSE(DecodeResponse(v1_body.Take()).ok());
+
+  hello.protocol_version = kProtocolVersion;
+  auto greeted = DecodeResponse(
+      (*connection)->HandlePayload(EncodeRequest(hello)));
+  ASSERT_TRUE(greeted.ok()) << greeted.status();
+  EXPECT_TRUE(greeted->ok);
+  EXPECT_NE((*connection)->session_id(), 0u);
 }
 
 TEST(ServerFuzz, TcpGarbageGetsOneErrorThenTheSessionIsReleased) {

@@ -222,28 +222,6 @@ TEST_F(ServerOverloadTest, QueueDeadlineShedsStaleQueries) {
   EXPECT_TRUE(direct->ok) << direct->message;
 }
 
-TEST_F(ServerOverloadTest, V1ConnectionsAreShedWithAPlainError) {
-  ServiceOptions options = BaseOptions();
-  options.queue_cap = 1;
-  QueryService service(&catalog_, options);
-
-  auto client = InProcessClient::Connect(&service);
-  ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(client->Hello(/*version=*/1).ok());
-
-  ASSERT_TRUE(service.TryAcquireQuerySlot());  // saturate the cap
-  auto response = client->Query(kScope, kQueryText);
-  service.ReleaseQuerySlot();
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_FALSE(response->ok);
-  // No status-2 frame on a v1 connection: the shed arrives as a plain
-  // kUnavailable error with the hint folded into the message.
-  EXPECT_FALSE(response->busy);
-  EXPECT_EQ(response->retry_after_ms, 0u);
-  EXPECT_EQ(response->code, StatusCode::kUnavailable);
-  EXPECT_NE(response->message.find("retry in ~"), std::string::npos);
-}
-
 TEST_F(ServerOverloadTest, WorkerPoolTrySubmitBoundsTheQueue) {
   WorkerPoolOptions options;
   options.threads = 1;

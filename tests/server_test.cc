@@ -495,11 +495,10 @@ TEST_F(ServerObservabilityTest, DumpDecomposesLazyFirstTouchCosts) {
   EXPECT_EQ(log[1].stage_us[size_t(obs::Stage::kIndexBuild)], 0u);
   EXPECT_GT(log[1].stage_us[size_t(obs::Stage::kExecute)], 0u);
 
-  // kStats v2 carries the histogram summaries: two request samples on
+  // kStats carries the histogram summaries: two request samples on
   // the query opcode, exactly one first-touch decode sample.
   auto stats = client->Stats();
   ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->version, 2u);
   EXPECT_EQ(stats->queries_served, 2u);
   bool saw_query_op = false;
   bool saw_decode = false;
@@ -552,44 +551,6 @@ TEST_F(ServerObservabilityTest, SlowQueriesAreCountedAndFlagged) {
   auto dump = client->Dump();
   ASSERT_TRUE(dump.ok());
   EXPECT_NE(dump->find(" slow=1 "), std::string::npos);
-}
-
-TEST_F(ServerObservabilityTest, V1NegotiatedStatsBodyIsByteIdentical) {
-  QueryService service = MakeService();
-  auto client = InProcessClient::Connect(&service);
-  ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(client->Hello(/*version=*/1).ok());
-  auto response = client->Query("lib_1", kTextQuery);
-  ASSERT_TRUE(response.ok());
-  ASSERT_TRUE(response->ok);
-
-  // A v1-negotiated connection must get the legacy four-varint body,
-  // byte for byte — v2's histogram extension never leaks backwards.
-  Request stats_request;
-  stats_request.opcode = Opcode::kStats;
-  std::string payload =
-      client->connection()->HandlePayload(EncodeRequest(stats_request));
-  Response expected;
-  expected.ok = true;
-  expected.opcode = Opcode::kStats;
-  expected.stats.version = 1;
-  expected.stats.sessions_active = 1;
-  expected.stats.queries_served = 1;
-  expected.stats.request_errors = 0;
-  expected.stats.sessions_evicted = 0;
-  EXPECT_EQ(payload, EncodeResponse(expected));
-  auto decoded = DecodeResponse(payload);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->stats.version, 1u);
-  EXPECT_TRUE(decoded->stats.histograms.empty());
-
-  // Pre-HELLO connections are v1 too: scrapers that never negotiated
-  // must keep parsing what they always parsed.
-  auto fresh = InProcessClient::Connect(&service);
-  ASSERT_TRUE(fresh.ok());
-  auto fresh_stats = fresh->Stats();
-  ASSERT_TRUE(fresh_stats.ok());
-  EXPECT_EQ(fresh_stats->version, 1u);
 }
 
 TEST_F(ServerObservabilityTest, ObserveOffKeepsCountsButRecordsNoTimings) {

@@ -1,12 +1,12 @@
 // Fuzz-style corruption tests for the storage image loader: every
-// truncation, every single-byte flip and a battery of crafted headers
-// must be rejected cleanly (no crash, no partially applied document)
-// for both MXM1 and MXM2 images — the teeth behind the versioning
-// policy documented in model/storage_io.h.
+// truncation, every single-byte flip and a battery of crafted headers,
+// payloads and directories must be rejected cleanly (no crash, no
+// partially applied document), in copy and in zero-copy view mode —
+// the teeth behind the versioning policy documented in
+// model/storage_io.h.
 
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
 #include <functional>
 #include <string>
 #include <vector>
@@ -27,31 +27,42 @@ namespace model {
 namespace {
 
 using meetxml::testing::MustShred;
+using meetxml::testing::TempFile;
 
-// Fuzz parameter: the low byte is the image flavor — 1 = MXM1, 2 =
-// MXM2 with the row-oriented DOC0 payload, 4 = MXM2 with the unaligned
-// columnar DOC1 payload, 5 = MXM2 with the aligned columnar DOC2
-// payload, 6 = MXM2 with DOC2 plus the persisted DRV1 derived section
-// and the trailing directory (the low byte doubles as the expected
-// minor revision of the emitted image). The kViewMode bit runs the
-// same sweep through a zero-copy (kView) load: a corrupt image must
-// fail decode in view mode exactly as in copy mode — never yield a
-// span past the mapping.
+// Fuzz parameter: the low byte is the minor revision of the image under
+// test — 6, the one layout (DOC2 + DRV1 behind the trailing
+// directory). The kViewMode bit runs the same sweep through a
+// zero-copy (kView) load: a corrupt image must fail decode in view
+// mode exactly as in copy mode — never yield a span past the mapping.
 constexpr uint32_t kViewMode = 0x100;
 
-std::string Image(uint32_t param) {
-  uint32_t flavor = param & 0xff;
-  StoredDocument doc = MustShred(data::PaperExampleXml());
-  SaveOptions options;
-  options.format_version = flavor == 1 ? 1 : 2;
-  options.payload_format =
-      flavor >= 5   ? DocumentPayloadFormat::kColumnar
-      : flavor == 4 ? DocumentPayloadFormat::kColumnarUnaligned
-                    : DocumentPayloadFormat::kRowOriented;
-  options.derived_section = flavor == 6;
-  auto bytes = SaveToBytes(doc, options);
+std::string Image() {
+  auto bytes = SaveToBytes(MustShred(data::PaperExampleXml()));
   EXPECT_TRUE(bytes.ok()) << bytes.status();
   return *bytes;
+}
+
+// The container checksum (four-lane FNV-1a, model/storage_io.h),
+// re-implemented so crafted images can re-stamp a directory after
+// patching it — which leaves the framing checks as the only defense.
+uint64_t LaneChecksum(std::string_view bytes) {
+  constexpr uint64_t kOffset = 0xcbf29ce484222325ULL;
+  constexpr uint64_t kPrime = 0x100000001b3ULL;
+  uint64_t lanes[4] = {kOffset, kOffset ^ 1, kOffset ^ 2, kOffset ^ 3};
+  size_t at = 0;
+  for (; at + 32 <= bytes.size(); at += 32) {
+    for (int lane = 0; lane < 4; ++lane) {
+      uint64_t chunk;
+      std::memcpy(&chunk, bytes.data() + at + lane * 8, 8);
+      lanes[lane] = (lanes[lane] ^ chunk) * kPrime;
+    }
+  }
+  uint64_t hash = kOffset;
+  for (uint64_t lane : lanes) hash = (hash ^ lane) * kPrime;
+  for (; at < bytes.size(); ++at) {
+    hash = (hash ^ static_cast<unsigned char>(bytes[at])) * kPrime;
+  }
+  return hash;
 }
 
 util::Result<StoredDocument> Load(uint32_t param, std::string_view bytes) {
@@ -63,7 +74,7 @@ util::Result<StoredDocument> Load(uint32_t param, std::string_view bytes) {
 class StorageFuzz : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(StorageFuzz, EveryTruncationFails) {
-  std::string bytes = Image(GetParam());
+  std::string bytes = Image();
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     auto loaded =
         Load(GetParam(), std::string_view(bytes).substr(0, cut));
@@ -72,29 +83,18 @@ TEST_P(StorageFuzz, EveryTruncationFails) {
 }
 
 TEST_P(StorageFuzz, EveryByteFlipFails) {
-  // In a doc-only image every byte is load-bearing: magic, version and
-  // directory flips trip structural checks, payload flips trip the
-  // section checksum. Flip every byte through three masks. The one
-  // legal exception: an MXM2 image's minor-field flip can land on
-  // another accepted minor (2 <-> 3, 4 <-> 5 — minors are backward
-  // compatible by policy and a single-section image tiles identically
-  // under both), in which case the load must succeed with the
-  // document fully intact.
-  StoredDocument original = MustShred(data::PaperExampleXml());
-  std::string bytes = Image(GetParam());
+  // In a doc-only image every byte is load-bearing: magic, minor and
+  // directory flips trip structural checks (only minor 6 is read),
+  // payload flips trip the section checksum, and the DOC2 and DRV1
+  // payloads are multiples of 4 bytes, so no alignment pad sits
+  // between them. Flip every byte through three masks.
+  std::string bytes = Image();
   for (uint8_t mask : {0x01, 0x40, 0xff}) {
     for (size_t at = 0; at < bytes.size(); ++at) {
       std::string corrupt = bytes;
       corrupt[at] = static_cast<char>(corrupt[at] ^ mask);
-      auto loaded = Load(GetParam(), corrupt);
-      bool minor_field =
-          (GetParam() & 0xff) != 1 && at >= 4 && at < 8;
-      if (loaded.ok()) {
-        EXPECT_TRUE(minor_field)
-            << "flip mask " << int(mask) << " at " << at;
-        EXPECT_EQ(loaded->node_count(), original.node_count());
-        EXPECT_EQ(loaded->string_count(), original.string_count());
-      }
+      EXPECT_FALSE(Load(GetParam(), corrupt).ok())
+          << "flip mask " << int(mask) << " at " << at;
     }
   }
 }
@@ -103,7 +103,7 @@ TEST_P(StorageFuzz, PseudoRandomMutationsNeverCrash) {
   // Deterministic LCG mutations: multi-byte scribbles anywhere in the
   // image. Anything but a clean error is a bug; loads must never
   // crash, hang or hand back a half-built document.
-  std::string bytes = Image(GetParam());
+  std::string bytes = Image();
   uint64_t state = 0x9e3779b97f4a7c15ULL + GetParam();
   auto next = [&state]() {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -126,50 +126,59 @@ TEST_P(StorageFuzz, PseudoRandomMutationsNeverCrash) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Formats, StorageFuzz,
-    ::testing::Values(1u, 2u, 4u, 5u, 6u, kViewMode | 4u, kViewMode | 5u,
-                      kViewMode | 6u),
+    Formats, StorageFuzz, ::testing::Values(6u, kViewMode | 6u),
     [](const auto& info) -> std::string {
-      uint32_t flavor = info.param & 0xff;
-      std::string name = flavor == 1   ? "MXM1"
-                         : flavor == 2 ? "MXM2DOC0"
-                         : flavor == 4 ? "MXM2DOC1"
-                         : flavor == 5 ? "MXM2DOC2"
-                                       : "MXM2DRV1";
-      if ((info.param & kViewMode) != 0) name += "View";
-      return name;
+      return (info.param & kViewMode) != 0 ? "MXM2DRV1View" : "MXM2DRV1";
     });
+
+// A minor-6 header whose directory (at offset 16) holds `count`
+// sections and nothing else, with a valid directory checksum.
+std::string CraftDirectoryOnly(uint32_t count) {
+  util::ByteWriter out;
+  out.Bytes("MXM2");
+  out.U32(6);
+  out.U64(16);  // dir_offset
+  util::ByteWriter dir;
+  dir.U32(count);
+  std::string dir_bytes = dir.Take();
+  out.Bytes(dir_bytes);
+  out.U64(LaneChecksum(dir_bytes));
+  return out.Take();
+}
 
 TEST(StorageFuzzCrafted, BadMagicAndHeaders) {
   EXPECT_FALSE(LoadFromBytes("").ok());
   EXPECT_FALSE(LoadFromBytes("MXM").ok());
   EXPECT_FALSE(LoadFromBytes("MXM3????????????").ok());
   EXPECT_FALSE(LoadFromBytes(std::string("MXM2") +
-                             std::string(8, '\0'))
+                             std::string(12, '\0'))
                    .ok());  // version 0
-  std::string zero_sections = "MXM2";
-  zero_sections += std::string{2, 0, 0, 0};  // version 2
-  zero_sections += std::string(4, '\0');     // zero sections
-  EXPECT_FALSE(LoadFromBytes(zero_sections).ok());
-  // Huge section count must be rejected before any allocation.
-  std::string huge = "MXM2";
-  huge += std::string{2, 0, 0, 0};              // version 2
-  huge += std::string{'\xff', '\xff', '\xff', '\xff'};  // section count
-  EXPECT_FALSE(LoadFromBytes(huge).ok());
+  // Zero sections, and a huge section count that must be rejected
+  // before any allocation — both behind a valid directory checksum.
+  auto zero = LoadFromBytes(CraftDirectoryOnly(0));
+  ASSERT_FALSE(zero.ok());
+  EXPECT_NE(zero.status().message().find("section count"),
+            std::string::npos)
+      << zero.status();
+  auto huge = LoadFromBytes(CraftDirectoryOnly(0xffffffffu));
+  ASSERT_FALSE(huge.ok());
+  EXPECT_NE(huge.status().message().find("section count"),
+            std::string::npos)
+      << huge.status();
 }
 
 TEST(StorageFuzzCrafted, WriterRejectsUnloadableSectionSets) {
   // Images the loader would refuse must fail at save time, not at the
-  // next restart. Both document section ids are off-limits as extras.
+  // next restart. The document and derived section ids are off-limits
+  // as extras.
   StoredDocument doc = MustShred("<a><b>x</b></a>");
   SaveOptions dup_doc;
   dup_doc.extra_sections.push_back(ImageSection{kDocumentSectionId, "x"});
   EXPECT_FALSE(SaveToBytes(doc, dup_doc).ok());
 
-  SaveOptions dup_columnar;
-  dup_columnar.extra_sections.push_back(
-      ImageSection{kColumnarDocumentSectionId, "x"});
-  EXPECT_FALSE(SaveToBytes(doc, dup_columnar).ok());
+  SaveOptions dup_derived;
+  dup_derived.extra_sections.push_back(ImageSection{kDerivedSectionId, "x"});
+  EXPECT_FALSE(SaveToBytes(doc, dup_derived).ok());
 
   SaveOptions dup_id;
   dup_id.extra_sections.push_back(ImageSection{kTextIndexSectionId, "x"});
@@ -177,21 +186,23 @@ TEST(StorageFuzzCrafted, WriterRejectsUnloadableSectionSets) {
   EXPECT_FALSE(SaveToBytes(doc, dup_id).ok());
 }
 
-// --- Crafted DOC1/DOC2 payload corruptions ----------------------------
+// --- Crafted DOC2 payload corruptions --------------------------------
 //
-// The columnar codecs trust nothing: every field below is handcrafted
-// so one structural invariant at a time can be broken — offsets out of
+// The DOC2 codec trusts nothing: every field below is handcrafted so
+// one structural invariant at a time can be broken — offsets out of
 // bounds, blobs shorter than the last offset, an append-order column
 // that is not a permutation — and the loader must reject each image
 // cleanly, never applying it partially. Each corruption is pushed
-// through both codecs (DOC1 unaligned, DOC2 aligned) and both load
-// modes (copy and zero-copy view): a bad image must fail identically
-// everywhere, and a view-mode decode must never hand out a span past
-// the mapping.
+// through both load modes (copy and zero-copy view) and both
+// validation modes: a bad image must fail identically everywhere, a
+// view-mode decode must never hand out a span past the mapping, and a
+// deferred-validation load must fail at the latest at its
+// EnsureValidated gate. The DRV1 section next to the crafted payload
+// is the writer's, for the untampered document.
 
 // A two-node document (<a>xyz</a>): element path 0, cdata path 1, one
 // string. Every knob overrides one field of the valid encoding.
-struct Doc1Knobs {
+struct Doc2Knobs {
   std::vector<uint32_t> parents{0xffffffffu, 0};
   std::vector<uint32_t> node_paths{0, 1};
   std::vector<uint32_t> ranks{0, 0};
@@ -205,7 +216,7 @@ struct Doc1Knobs {
   std::string trailing;
 };
 
-std::string CraftColumnarImage(const Doc1Knobs& knobs, bool aligned) {
+std::string CraftDoc2Image(const Doc2Knobs& knobs) {
   util::ByteWriter payload;
   // Path summary: 0 = element "a" (root), 1 = cdata below it.
   payload.U32(2);
@@ -215,7 +226,7 @@ std::string CraftColumnarImage(const Doc1Knobs& knobs, bool aligned) {
   payload.U32(0);
   payload.U8(2);  // StepKind::kCdata
   payload.StrU32("cdata");
-  if (aligned) payload.AlignTo4();
+  payload.AlignTo4();
   // Node columns.
   payload.U32(static_cast<uint32_t>(knobs.parents.size()));
   for (uint32_t v : knobs.parents) payload.U32(v);
@@ -231,76 +242,77 @@ std::string CraftColumnarImage(const Doc1Knobs& knobs, bool aligned) {
     for (uint32_t v : knobs.seqs[g]) payload.U32(v);
     for (uint32_t v : knobs.ends[g]) payload.U32(v);
     payload.Bytes(knobs.blobs[g]);
-    if (aligned) payload.AlignTo4();
+    payload.AlignTo4();
   }
   payload.Bytes(knobs.trailing);
+  auto derived = SerializeDerivedSection(MustShred("<a>xyz</a>"));
+  EXPECT_TRUE(derived.ok()) << derived.status();
   auto image = SaveSectionsToBytes(
-      {ImageSection{aligned ? kAlignedColumnarDocumentSectionId
-                            : kColumnarDocumentSectionId,
-                    payload.Take()}},
-      aligned ? 5 : 4);
+      {ImageSection{kDocumentSectionId, payload.Take()},
+       ImageSection{kDerivedSectionId, *derived}});
   EXPECT_TRUE(image.ok()) << image.status();
   return *image;
 }
 
-// The corruption must be rejected by both codecs in both load modes.
-void ExpectCraftedRejected(const Doc1Knobs& knobs, const char* what) {
-  for (bool aligned : {false, true}) {
-    std::string image = CraftColumnarImage(knobs, aligned);
-    for (LoadMode mode : {LoadMode::kCopy, LoadMode::kView}) {
-      LoadOptions options;
-      options.mode = mode;
-      EXPECT_FALSE(LoadFromBytes(image, options).ok())
-          << what << " (aligned=" << aligned
-          << ", view=" << (mode == LoadMode::kView) << ")";
+// The corruption must be caught in both load modes: an eager load
+// rejects the image outright; a deferred-validation load may accept
+// the framing, but must then fail at the EnsureValidated gate —
+// queries never run over it.
+void ExpectCorruptionCaught(const std::string& image, const char* what) {
+  for (LoadMode mode : {LoadMode::kCopy, LoadMode::kView}) {
+    LoadOptions eager;
+    eager.mode = mode;
+    EXPECT_FALSE(LoadFromBytes(image, eager).ok())
+        << what << " (view=" << (mode == LoadMode::kView) << ")";
+    LoadOptions deferred = eager;
+    deferred.defer_validation = true;
+    auto loaded = LoadFromBytes(image, deferred);
+    if (loaded.ok()) {
+      EXPECT_FALSE(loaded->EnsureValidated().ok())
+          << what << " (deferred, view=" << (mode == LoadMode::kView)
+          << ")";
     }
   }
 }
 
+void ExpectCraftedRejected(const Doc2Knobs& knobs, const char* what) {
+  ExpectCorruptionCaught(CraftDoc2Image(knobs), what);
+}
+
 TEST(StorageFuzzCrafted, CraftedColumnarBaselinesLoad) {
-  // The untampered encodings must load — otherwise the corruption
-  // cases below would pass for the wrong reason.
-  for (bool aligned : {false, true}) {
-    for (LoadMode mode : {LoadMode::kCopy, LoadMode::kView}) {
-      LoadOptions options;
-      options.mode = mode;
-      std::string image = CraftColumnarImage(Doc1Knobs{}, aligned);
-      auto loaded = LoadFromBytes(image, options);
-      ASSERT_TRUE(loaded.ok()) << loaded.status();
-      EXPECT_EQ(loaded->node_count(), 2u);
-      EXPECT_EQ(loaded->string_count(), 1u);
-      EXPECT_EQ(loaded->CdataValue(1), "xyz");
-    }
+  // The untampered encoding must load — otherwise the corruption cases
+  // below would pass for the wrong reason.
+  std::string image = CraftDoc2Image(Doc2Knobs{});
+  for (LoadMode mode : {LoadMode::kCopy, LoadMode::kView}) {
+    LoadOptions options;
+    options.mode = mode;
+    auto loaded = LoadFromBytes(image, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_EQ(loaded->node_count(), 2u);
+    EXPECT_EQ(loaded->string_count(), 1u);
+    EXPECT_EQ(loaded->CdataValue(1), "xyz");
   }
 
-  // And each is bit-identical to what the writer emits for the same
-  // document, pinning the crafted encodings to the real codecs.
-  SaveOptions unaligned_options;
-  unaligned_options.payload_format =
-      DocumentPayloadFormat::kColumnarUnaligned;
-  auto written_doc1 = SaveToBytes(MustShred("<a>xyz</a>"), unaligned_options);
-  ASSERT_TRUE(written_doc1.ok());
-  EXPECT_EQ(CraftColumnarImage(Doc1Knobs{}, false), *written_doc1);
-  SaveOptions doc2_options;  // plain DOC2 without the DRV1 companion
-  doc2_options.derived_section = false;
-  auto written_doc2 = SaveToBytes(MustShred("<a>xyz</a>"), doc2_options);
-  ASSERT_TRUE(written_doc2.ok());
-  EXPECT_EQ(CraftColumnarImage(Doc1Knobs{}, true), *written_doc2);
+  // And it is bit-identical to what the writer emits for the same
+  // document, pinning the crafted encoding to the real codec.
+  auto written = SaveToBytes(MustShred("<a>xyz</a>"));
+  ASSERT_TRUE(written.ok());
+  EXPECT_EQ(image, *written);
 }
 
 TEST(StorageFuzzCrafted, ColumnarRejectsBadNodeColumns) {
   {
-    Doc1Knobs knobs;  // non-root node whose parent does not precede it
+    Doc2Knobs knobs;  // non-root node whose parent does not precede it
     knobs.parents = {0xffffffffu, 1};
     ExpectCraftedRejected(knobs, "parent after child");
   }
   {
-    Doc1Knobs knobs;  // node 0 with a parent
+    Doc2Knobs knobs;  // node 0 with a parent
     knobs.parents = {0, 0};
     ExpectCraftedRejected(knobs, "rooted root");
   }
   {
-    Doc1Knobs knobs;  // node path beyond the path summary
+    Doc2Knobs knobs;  // node path beyond the path summary
     knobs.node_paths = {0, 9};
     ExpectCraftedRejected(knobs, "node path out of range");
   }
@@ -308,17 +320,17 @@ TEST(StorageFuzzCrafted, ColumnarRejectsBadNodeColumns) {
 
 TEST(StorageFuzzCrafted, ColumnarRejectsBadStringColumns) {
   {
-    Doc1Knobs knobs;  // owner beyond the node count
+    Doc2Knobs knobs;  // owner beyond the node count
     knobs.owners = {{5}};
     ExpectCraftedRejected(knobs, "owner out of range");
   }
   {
-    Doc1Knobs knobs;  // group path beyond the path summary
+    Doc2Knobs knobs;  // group path beyond the path summary
     knobs.group_paths = {7};
     ExpectCraftedRejected(knobs, "group path out of range");
   }
   {
-    Doc1Knobs knobs;  // empty group
+    Doc2Knobs knobs;  // empty group
     knobs.owners = {{}};
     knobs.seqs = {{}};
     knobs.ends = {{}};
@@ -326,7 +338,7 @@ TEST(StorageFuzzCrafted, ColumnarRejectsBadStringColumns) {
     ExpectCraftedRejected(knobs, "empty group");
   }
   {
-    Doc1Knobs knobs;  // the same path adopted by two groups
+    Doc2Knobs knobs;  // the same path adopted by two groups
     knobs.total_strings = 2;
     knobs.group_count = 2;
     knobs.group_paths = {1, 1};
@@ -340,12 +352,12 @@ TEST(StorageFuzzCrafted, ColumnarRejectsBadStringColumns) {
 
 TEST(StorageFuzzCrafted, ColumnarRejectsBadOffsets) {
   {
-    Doc1Knobs knobs;  // offsets run out of the payload: blob shorter
+    Doc2Knobs knobs;  // offsets run out of the payload: blob shorter
     knobs.ends = {{100}};  // than the last offset claims
     ExpectCraftedRejected(knobs, "blob shorter than last offset");
   }
   {
-    Doc1Knobs knobs;  // offsets not monotonic
+    Doc2Knobs knobs;  // offsets not monotonic
     knobs.total_strings = 2;
     knobs.owners = {{1, 1}};
     knobs.seqs = {{0, 1}};
@@ -357,12 +369,12 @@ TEST(StorageFuzzCrafted, ColumnarRejectsBadOffsets) {
 
 TEST(StorageFuzzCrafted, ColumnarRejectsBrokenPermutation) {
   {
-    Doc1Knobs knobs;  // seq beyond the global string count
+    Doc2Knobs knobs;  // seq beyond the global string count
     knobs.seqs = {{4}};
     ExpectCraftedRejected(knobs, "seq out of range");
   }
   {
-    Doc1Knobs knobs;  // duplicate seq value
+    Doc2Knobs knobs;  // duplicate seq value
     knobs.total_strings = 2;
     knobs.owners = {{1, 1}};
     knobs.seqs = {{0, 0}};
@@ -371,14 +383,14 @@ TEST(StorageFuzzCrafted, ColumnarRejectsBrokenPermutation) {
     ExpectCraftedRejected(knobs, "duplicate seq");
   }
   {
-    Doc1Knobs knobs;  // declared count larger than the rows delivered
+    Doc2Knobs knobs;  // declared count larger than the rows delivered
     knobs.total_strings = 2;
     ExpectCraftedRejected(knobs, "undelivered rows");
   }
 }
 
 TEST(StorageFuzzCrafted, ColumnarRejectsTrailingPayloadBytes) {
-  Doc1Knobs knobs;
+  Doc2Knobs knobs;
   knobs.trailing.push_back('x');
   ExpectCraftedRejected(knobs, "trailing payload bytes");
 }
@@ -386,46 +398,97 @@ TEST(StorageFuzzCrafted, ColumnarRejectsTrailingPayloadBytes) {
 TEST(StorageFuzzCrafted, Doc2RejectsNonzeroAlignmentPadding) {
   // DOC2's padding bytes are part of the checksummed payload, so they
   // must be byte-deterministic: a nonzero pad is corruption. Craft the
-  // aligned baseline and scribble on the padding after the final blob
-  // (the 3-byte "xyz" blob leaves exactly one pad byte at the end of
-  // the payload).
-  std::string image = CraftColumnarImage(Doc1Knobs{}, /*aligned=*/true);
+  // baseline and scribble on the padding after the final blob (the
+  // 3-byte "xyz" blob leaves exactly one pad byte at the end of the
+  // payload).
+  std::string image = CraftDoc2Image(Doc2Knobs{});
   auto sections = LoadSectionsFromBytes(image);
   ASSERT_TRUE(sections.ok());
-  ASSERT_EQ(sections->sections.size(), 1u);
+  ASSERT_EQ(sections->sections.size(), 2u);
   std::string payload(sections->sections[0].bytes);
   ASSERT_EQ(payload.size() % 4, 0u);
   ASSERT_EQ(payload.back(), '\0');
   payload.back() = 'x';
   auto tampered = SaveSectionsToBytes(
-      {ImageSection{kAlignedColumnarDocumentSectionId, payload}}, 5);
+      {ImageSection{kDocumentSectionId, payload},
+       ImageSection{kDerivedSectionId,
+                    std::string(sections->sections[1].bytes)}});
   ASSERT_TRUE(tampered.ok());
-  for (LoadMode mode : {LoadMode::kCopy, LoadMode::kView}) {
-    LoadOptions options;
-    options.mode = mode;
-    EXPECT_FALSE(LoadFromBytes(*tampered, options).ok());
-  }
+  ExpectCorruptionCaught(*tampered, "nonzero alignment pad");
 }
 
 TEST(StorageFuzzCrafted, BadSectionLengths) {
+  // Patch the document entry's size in the trailing directory and
+  // re-stamp the directory checksum, so the size framing itself — not
+  // a checksum — has to catch the lie. Directory entry 0 is the DOC2
+  // section: u32 count, then u32 id | u64 offset | u64 size | u64 sum.
   StoredDocument doc = MustShred(data::PaperExampleXml());
   auto index = text::InvertedIndex::Build(doc);
   ASSERT_TRUE(index.ok());
   auto bytes = text::SaveStoreToBytes(doc, &*index);
   ASSERT_TRUE(bytes.ok());
+  uint64_t dir_offset;
+  std::memcpy(&dir_offset, bytes->data() + 8, 8);
+  const size_t count_at = static_cast<size_t>(dir_offset);
+  const size_t offset_at = count_at + 8;
+  const size_t size_at = count_at + 16;
+  const size_t sum_at = count_at + 24;
+  uint32_t section_count;
+  std::memcpy(&section_count, bytes->data() + count_at, 4);
+  ASSERT_EQ(section_count, 3u);  // DOC2, DRV1, TIDX
+  const size_t dir_sum_at = count_at + 4 + 28 * section_count;
+  uint64_t offset;
+  uint64_t size;
+  std::memcpy(&offset, bytes->data() + offset_at, 8);
+  std::memcpy(&size, bytes->data() + size_at, 8);
+  const uint64_t room = dir_offset - offset;  // the most that still fits
 
-  // The DOC0 size field lives at offset 4+4+4+4 = 16 (u64). Growing or
-  // shrinking it must fail: either the payloads no longer tile the
-  // image or a checksum breaks.
-  for (int64_t delta : {-1000, -1, 1, 1000}) {
+  // `new_size` overwrites the entry; `restamp_section` also recomputes
+  // the entry's payload checksum over the new range, leaving only the
+  // DOC2 decoder's own framing to object.
+  auto patched = [&](uint64_t new_size, bool restamp_section) {
     std::string corrupt = *bytes;
-    uint64_t size;
-    std::memcpy(&size, corrupt.data() + 16, 8);
-    size = static_cast<uint64_t>(static_cast<int64_t>(size) + delta);
-    std::memcpy(corrupt.data() + 16, &size, 8);
-    EXPECT_FALSE(LoadFromBytes(corrupt).ok()) << "delta " << delta;
-    EXPECT_FALSE(text::LoadStoreFromBytes(corrupt).ok());
-  }
+    std::memcpy(corrupt.data() + size_at, &new_size, 8);
+    if (restamp_section) {
+      uint64_t sum = LaneChecksum(std::string_view(corrupt).substr(
+          static_cast<size_t>(offset), static_cast<size_t>(new_size)));
+      std::memcpy(corrupt.data() + sum_at, &sum, 8);
+    }
+    uint64_t dir_sum = LaneChecksum(std::string_view(corrupt).substr(
+        count_at, dir_sum_at - count_at));
+    std::memcpy(corrupt.data() + dir_sum_at, &dir_sum, 8);
+    return corrupt;
+  };
+  auto expect_error = [](const std::string& corrupt, const char* needle,
+                         const char* what) {
+    auto loaded = LoadFromBytes(corrupt);
+    ASSERT_FALSE(loaded.ok()) << what;
+    EXPECT_NE(loaded.status().message().find(needle), std::string::npos)
+        << what << ": " << loaded.status();
+    auto store = text::LoadStoreFromBytes(corrupt);
+    ASSERT_FALSE(store.ok()) << what;
+    EXPECT_EQ(store.status().ToString(), loaded.status().ToString())
+        << what;
+  };
+
+  // The untouched re-stamp loads: the patching itself is sound.
+  ASSERT_TRUE(LoadFromBytes(patched(size, false)).ok());
+  // Sizes that run past the directory trip the overrun check.
+  expect_error(patched(room + 1, false), "section overruns", "room + 1");
+  expect_error(patched(size + 1000000, false), "section overruns",
+               "grown by 1e6");
+  expect_error(patched(size - 1000000, false), "section overruns",
+               "shrunk by 1e6 (wraps)");
+  // Sizes that stay in bounds change the checksummed range.
+  expect_error(patched(size - 1, false), "checksum mismatch", "shrunk by 1");
+  expect_error(patched(size + 1, false), "checksum mismatch", "grown by 1");
+  expect_error(patched(room, false), "checksum mismatch", "up to the dir");
+  // With the entry checksum re-stamped too, the DOC2 decoder sees a
+  // payload one byte short or one byte long.
+  expect_error(patched(size - 1, true), "truncated payload",
+               "shrunk by 1, re-stamped");
+  expect_error(patched(size + 1, true), "trailing bytes",
+               "grown by 1, re-stamped");
 }
 
 TEST(StorageFuzzCrafted, WithIndexSectionFlipsNeverCrash) {
@@ -538,7 +601,7 @@ TEST(CatalogFuzz, PseudoRandomMutationsNeverCrash) {
 }
 
 TEST(CatalogFuzz, DanglingSectionsAreRejected) {
-  // An unreferenced DOC0 (or TIDX) alongside a CTLG directory is
+  // An unreferenced DOC2, DRV1 (or TIDX) alongside a CTLG directory is
   // writer corruption, not forward compatibility; the loader must say
   // so instead of silently dropping a document.
   store::Catalog catalog;
@@ -552,8 +615,8 @@ TEST(CatalogFuzz, DanglingSectionsAreRejected) {
     tampered.push_back(
         ImageSection{section.id, std::string(section.bytes)});
   }
-  tampered.push_back(tampered.back());  // duplicate the DOC0 section
-  auto rewritten = SaveSectionsToBytes(tampered, 3);
+  tampered.push_back(tampered.back());  // duplicate the DRV1 section
+  auto rewritten = SaveSectionsToBytes(tampered);
   ASSERT_TRUE(rewritten.ok());
   EXPECT_FALSE(store::Catalog::LoadFromBytes(*rewritten).ok());
 }
@@ -561,7 +624,7 @@ TEST(CatalogFuzz, DanglingSectionsAreRejected) {
 // --- Crafted DRV1 corruptions -----------------------------------------
 //
 // The derived section is checksummed like any other, so random flips
-// die at the gate (the flavor-6 sweep above). These cases instead keep
+// die at the gate (the sweeps above). These cases instead keep
 // every checksum *valid* — the image is re-serialized after the
 // corruption — so the structural validator is the only line of
 // defense: an eager load must reject the image outright, and a
@@ -578,7 +641,7 @@ std::string ImageWithDerivedWords(
   std::string doc_payload;
   std::string drv_payload;
   for (const SectionView& section : sections->sections) {
-    if (section.id == kAlignedColumnarDocumentSectionId) {
+    if (section.id == kDocumentSectionId) {
       doc_payload = std::string(section.bytes);
     } else if (section.id == kDerivedSectionId) {
       drv_payload = std::string(section.bytes);
@@ -592,9 +655,8 @@ std::string ImageWithDerivedWords(
   drv_payload.assign(reinterpret_cast<const char*>(words.data()),
                      words.size() * 4);
   auto rewritten = SaveSectionsToBytes(
-      {ImageSection{kAlignedColumnarDocumentSectionId, doc_payload},
-       ImageSection{kDerivedSectionId, drv_payload}},
-      6);
+      {ImageSection{kDocumentSectionId, doc_payload},
+       ImageSection{kDerivedSectionId, drv_payload}});
   EXPECT_TRUE(rewritten.ok()) << rewritten.status();
   return *rewritten;
 }
@@ -602,24 +664,7 @@ std::string ImageWithDerivedWords(
 void ExpectDerivedCorruptionCaught(
     const std::function<void(std::vector<uint32_t>&)>& mutate,
     const char* what) {
-  std::string image = ImageWithDerivedWords(mutate);
-  for (LoadMode mode : {LoadMode::kCopy, LoadMode::kView}) {
-    LoadOptions eager;
-    eager.mode = mode;
-    EXPECT_FALSE(LoadFromBytes(image, eager).ok())
-        << what << " (view=" << (mode == LoadMode::kView) << ")";
-    // Deferring validation may accept the framing, but the corruption
-    // must then surface at the EnsureValidated gate — queries never
-    // run over it.
-    LoadOptions deferred = eager;
-    deferred.defer_validation = true;
-    auto loaded = LoadFromBytes(image, deferred);
-    if (loaded.ok()) {
-      EXPECT_FALSE(loaded->EnsureValidated().ok())
-          << what << " (deferred, view=" << (mode == LoadMode::kView)
-          << ")";
-    }
-  }
+  ExpectCorruptionCaught(ImageWithDerivedWords(mutate), what);
 }
 
 TEST(StorageFuzzCrafted, DerivedBaselineLoads) {
@@ -679,9 +724,10 @@ struct AppendedImage {
 };
 
 AppendedImage MakeAppendedImage() {
-  namespace fs = std::filesystem;
-  std::string path =
-      (fs::temp_directory_path() / "meetxml_fuzz_append.mxm").string();
+  // Every test gets its own file: the suites run in parallel under
+  // ctest -j.
+  TempFile file("fuzz_append.mxm");
+  const std::string& path = file.path();
   store::Catalog catalog;
   StoredDocument paper = MustShred(data::PaperExampleXml());
   auto index = text::InvertedIndex::Build(paper);
@@ -706,7 +752,6 @@ AppendedImage MakeAppendedImage() {
   auto after = util::ReadFileToString(path);
   EXPECT_TRUE(after.ok()) << after.status();
   out.after = *after;
-  fs::remove(path);
   return out;
 }
 

@@ -1,8 +1,11 @@
 // Tests for binary persistence of the Monet transform: round-trips,
-// corruption rejection, file I/O.
+// decode against the shredded original, corruption and version
+// rejection, file I/O, and the writer's pinned output bytes.
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,7 +16,11 @@
 #include "model/reassembly.h"
 #include "model/shredder.h"
 #include "model/storage_io.h"
+#include "store/catalog.h"
 #include "tests/test_util.h"
+#include "text/index_io.h"
+#include "text/inverted_index.h"
+#include "util/byte_io.h"
 #include "xml/serializer.h"
 
 namespace meetxml {
@@ -106,19 +113,36 @@ TEST(StorageIo, RejectsWrongVersion) {
 }
 
 TEST(StorageIo, RejectsTrailingBytes) {
-  // Front-directory minors (<= 5) tile the image exactly, so trailing
-  // bytes are corruption.
-  StoredDocument doc = MustShred("<a/>");
-  SaveOptions options;
-  options.derived_section = false;
-  auto bytes = SaveToBytes(doc, options);
-  ASSERT_TRUE(bytes.ok());
-  EXPECT_FALSE(LoadFromBytes(*bytes + "extra").ok());
+  // Trailing bytes inside a payload are corruption, even behind valid
+  // checksums: the DOC2 and DRV1 decoders consume their payloads
+  // exactly.
+  StoredDocument doc = MustShred("<a><b>x</b></a>");
+  auto doc_payload = SerializeDocumentSection(doc);
+  auto derived_payload = SerializeDerivedSection(doc);
+  ASSERT_TRUE(doc_payload.ok() && derived_payload.ok());
+  auto long_doc = SaveSectionsToBytes(
+      {ImageSection{kDocumentSectionId, *doc_payload + "extra"},
+       ImageSection{kDerivedSectionId, *derived_payload}});
+  auto long_derived = SaveSectionsToBytes(
+      {ImageSection{kDocumentSectionId, *doc_payload},
+       ImageSection{kDerivedSectionId,
+                    *derived_payload + std::string(4, '\0')}});
+  ASSERT_TRUE(long_doc.ok() && long_derived.ok());
+  auto loaded = LoadFromBytes(*long_doc);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("trailing bytes"),
+            std::string::npos)
+      << loaded.status();
+  loaded = LoadFromBytes(*long_derived);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("trailing bytes"),
+            std::string::npos)
+      << loaded.status();
 }
 
 TEST(StorageIo, TrailingDirectoryMinorToleratesTrailingBytes) {
-  // Minor 6 locates everything through the directory pointer, so bytes
-  // past the directory are dead space — exactly what a crashed in-place
+  // The container locates everything through the directory pointer, so
+  // bytes past the directory are dead space — exactly what a crashed in-place
   // append leaves behind. The image must still load.
   StoredDocument doc = MustShred("<a/>");
   auto bytes = SaveToBytes(doc);
@@ -146,48 +170,19 @@ TEST(StorageIo, MissingFileIsNotFound) {
   EXPECT_TRUE(loaded.status().IsNotFound());
 }
 
-// --- Columnar (DOC1/DOC2) vs row-oriented (DOC0) payloads -------------
+// --- The DOC2 + DRV1 layout ---------------------------------------------
 
 TEST(StorageIo, DerivedColumnarIsTheDefaultAndStampsMinor6) {
   StoredDocument doc = MustShred(data::PaperExampleXml());
   auto bytes = SaveToBytes(doc);
   ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(bytes->substr(0, 4), "MXM2");
   EXPECT_EQ((*bytes)[4], 6);  // minor revision field
   auto sections = LoadSectionsFromBytes(*bytes);
   ASSERT_TRUE(sections.ok());
   ASSERT_EQ(sections->sections.size(), 2u);
-  EXPECT_EQ(sections->sections[0].id, kAlignedColumnarDocumentSectionId);
+  EXPECT_EQ(sections->sections[0].id, kDocumentSectionId);
   EXPECT_EQ(sections->sections[1].id, kDerivedSectionId);
-
-  SaveOptions plain_options;  // opting out of DRV1 stays on minor 5
-  plain_options.derived_section = false;
-  auto plain_bytes = SaveToBytes(doc, plain_options);
-  ASSERT_TRUE(plain_bytes.ok());
-  EXPECT_EQ((*plain_bytes)[4], 5);
-  auto plain_sections = LoadSectionsFromBytes(*plain_bytes);
-  ASSERT_TRUE(plain_sections.ok());
-  ASSERT_EQ(plain_sections->sections.size(), 1u);
-  EXPECT_EQ(plain_sections->sections[0].id,
-            kAlignedColumnarDocumentSectionId);
-
-  SaveOptions unaligned_options;
-  unaligned_options.payload_format =
-      DocumentPayloadFormat::kColumnarUnaligned;
-  auto unaligned_bytes = SaveToBytes(doc, unaligned_options);
-  ASSERT_TRUE(unaligned_bytes.ok());
-  EXPECT_EQ((*unaligned_bytes)[4], 4);
-  auto unaligned_sections = LoadSectionsFromBytes(*unaligned_bytes);
-  ASSERT_TRUE(unaligned_sections.ok());
-  EXPECT_EQ(unaligned_sections->sections[0].id, kColumnarDocumentSectionId);
-
-  SaveOptions row_options;
-  row_options.payload_format = DocumentPayloadFormat::kRowOriented;
-  auto row_bytes = SaveToBytes(doc, row_options);
-  ASSERT_TRUE(row_bytes.ok());
-  EXPECT_EQ((*row_bytes)[4], 2);
-  auto row_sections = LoadSectionsFromBytes(*row_bytes);
-  ASSERT_TRUE(row_sections.ok());
-  EXPECT_EQ(row_sections->sections[0].id, kDocumentSectionId);
 }
 
 TEST(StorageIo, AlignedColumnarColumnsSitOn4ByteOffsets) {
@@ -210,66 +205,84 @@ TEST(StorageIo, AlignedColumnarColumnsSitOn4ByteOffsets) {
   EXPECT_GT(stats.bytes_viewed, 0u);
 }
 
-// The byte-equality pin: DOC0-, DOC1- and DOC2-saved images of the
-// same document load to byte-identically re-serializable documents,
-// in every direction, in both load modes.
-void ExpectFormatsRoundTripIdentically(const StoredDocument& doc) {
-  SaveOptions row_options;
-  row_options.payload_format = DocumentPayloadFormat::kRowOriented;
-  SaveOptions unaligned_options;
-  unaligned_options.payload_format =
-      DocumentPayloadFormat::kColumnarUnaligned;
-  auto row_bytes = SaveToBytes(doc, row_options);
-  auto unaligned_bytes = SaveToBytes(doc, unaligned_options);
-  auto columnar_bytes = SaveToBytes(doc);
-  ASSERT_TRUE(row_bytes.ok() && unaligned_bytes.ok() &&
-              columnar_bytes.ok());
-
-  auto from_row = LoadFromBytes(*row_bytes);
-  auto from_unaligned = LoadFromBytes(*unaligned_bytes);
-  auto from_columnar = LoadFromBytes(*columnar_bytes);
-  ASSERT_TRUE(from_row.ok()) << from_row.status();
-  ASSERT_TRUE(from_unaligned.ok()) << from_unaligned.status();
-  ASSERT_TRUE(from_columnar.ok()) << from_columnar.status();
-
-  // Re-serializing any load in any format reproduces the original
-  // writer's bytes exactly.
-  auto row_again = SaveToBytes(*from_columnar, row_options);
-  auto unaligned_again = SaveToBytes(*from_row, unaligned_options);
-  auto columnar_again = SaveToBytes(*from_unaligned);
-  ASSERT_TRUE(row_again.ok() && unaligned_again.ok() &&
-              columnar_again.ok());
-  EXPECT_EQ(*row_again, *row_bytes);
-  EXPECT_EQ(*unaligned_again, *unaligned_bytes);
-  EXPECT_EQ(*columnar_again, *columnar_bytes);
-
-  // And a view-mode load of the aligned image re-serializes to the
-  // same bytes without ever copying a column.
-  LoadStats stats;
-  LoadOptions view_options;
-  view_options.mode = LoadMode::kView;
-  view_options.stats = &stats;
-  auto viewed = LoadFromBytes(*columnar_bytes, view_options);
-  ASSERT_TRUE(viewed.ok()) << viewed.status();
-  EXPECT_EQ(stats.bytes_copied, 0u);
-  EXPECT_TRUE(viewed->view_backed());
-  auto viewed_again = SaveToBytes(*viewed);
-  ASSERT_TRUE(viewed_again.ok());
-  EXPECT_EQ(*viewed_again, *columnar_bytes);
+template <typename Column>
+auto ToVector(const Column& column) {
+  using Value = std::decay_t<decltype(*column.begin())>;
+  return std::vector<Value>(column.begin(), column.end());
 }
 
-TEST(StorageIo, AllPayloadFormatsLoadByteIdentically) {
-  ExpectFormatsRoundTripIdentically(MustShred(data::PaperExampleXml()));
+// The reference check for the one decode path: a saved image, loaded
+// in copy and in view mode, holds exactly the columns the shredder
+// built — node columns, the path summary, the strings in append order
+// — and exactly the derived structures Finalize() built (children CSR,
+// per-path edge BATs, string sortedness). Re-serializing either load
+// reproduces the writer's bytes.
+void ExpectDecodesToTheShreddedDocument(const StoredDocument& original) {
+  auto bytes = SaveToBytes(original);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  for (LoadMode mode : {LoadMode::kCopy, LoadMode::kView}) {
+    SCOPED_TRACE(mode == LoadMode::kView ? "view" : "copy");
+    LoadStats stats;
+    LoadOptions options;
+    options.mode = mode;
+    options.stats = &stats;
+    auto loaded = LoadFromBytes(*bytes, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_EQ(stats.mode_used, mode);
+    EXPECT_EQ(loaded->view_backed(), mode == LoadMode::kView);
+    if (mode == LoadMode::kView) {
+      EXPECT_EQ(stats.bytes_copied, 0u);
+    }
+
+    ASSERT_EQ(loaded->paths().size(), original.paths().size());
+    for (PathId id = 0; id < original.paths().size(); ++id) {
+      EXPECT_EQ(loaded->paths().parent(id), original.paths().parent(id));
+      EXPECT_EQ(loaded->paths().kind(id), original.paths().kind(id));
+      EXPECT_EQ(loaded->paths().label(id), original.paths().label(id));
+    }
+    EXPECT_EQ(ToVector(loaded->parent_column()),
+              ToVector(original.parent_column()));
+    EXPECT_EQ(ToVector(loaded->path_column()),
+              ToVector(original.path_column()));
+    EXPECT_EQ(ToVector(loaded->rank_column()),
+              ToVector(original.rank_column()));
+    EXPECT_EQ(loaded->StringsInAppendOrder(), original.StringsInAppendOrder());
+
+    EXPECT_EQ(ToVector(loaded->child_offsets()),
+              ToVector(original.child_offsets()));
+    EXPECT_EQ(ToVector(loaded->child_list()),
+              ToVector(original.child_list()));
+    ASSERT_EQ(loaded->edge_paths(), original.edge_paths());
+    for (PathId path : original.edge_paths()) {
+      EXPECT_EQ(ToVector(loaded->EdgesAt(path).heads()),
+                ToVector(original.EdgesAt(path).heads()));
+      EXPECT_EQ(ToVector(loaded->EdgesAt(path).tails()),
+                ToVector(original.EdgesAt(path).tails()));
+    }
+    ASSERT_EQ(loaded->string_paths(), original.string_paths());
+    for (PathId path : original.string_paths()) {
+      EXPECT_EQ(loaded->StringRelationSorted(path),
+                original.StringRelationSorted(path));
+    }
+
+    auto again = SaveToBytes(*loaded);
+    ASSERT_TRUE(again.ok()) << again.status();
+    EXPECT_EQ(*again, *bytes);
+  }
 }
 
-TEST(StorageIo, RowAndColumnarAgreeOnDblp) {
+TEST(StorageIo, PaperExampleDecodesToTheShreddedDocument) {
+  ExpectDecodesToTheShreddedDocument(MustShred(data::PaperExampleXml()));
+}
+
+TEST(StorageIo, DblpDecodesToTheShreddedDocument) {
   data::DblpOptions options;
   options.end_year = 1987;
   auto xml_text = data::GenerateDblpXml(options);
   ASSERT_TRUE(xml_text.ok());
   auto doc = ShredXmlText(*xml_text);
   ASSERT_TRUE(doc.ok());
-  ExpectFormatsRoundTripIdentically(*doc);
+  ExpectDecodesToTheShreddedDocument(*doc);
 }
 
 TEST(StorageIo, ColumnarSurvivesExtraSections)  {
@@ -286,22 +299,20 @@ TEST(StorageIo, ColumnarSurvivesExtraSections)  {
   EXPECT_EQ(image->extra_sections[0].bytes, "opaque");
 }
 
-TEST(StorageIo, Mxm1IsAlwaysRowOriented) {
-  // MXM1 predates DOC1; asking for v1 + columnar still writes the
-  // legacy payload, so rollback images stay readable everywhere.
+TEST(StorageIo, DerivedSectionIsRequired) {
+  // A DOC2 section alone is not an image: the derived columns are
+  // never rebuilt at load time.
   StoredDocument doc = MustShred(data::PaperExampleXml());
-  SaveOptions v1;
-  v1.format_version = 1;
-  auto bytes = SaveToBytes(doc, v1);
-  SaveOptions v1_columnar;
-  v1_columnar.format_version = 1;
-  v1_columnar.payload_format = DocumentPayloadFormat::kColumnar;
-  auto bytes_columnar = SaveToBytes(doc, v1_columnar);
-  ASSERT_TRUE(bytes.ok() && bytes_columnar.ok());
-  EXPECT_EQ(*bytes, *bytes_columnar);
+  auto doc_payload = SerializeDocumentSection(doc);
+  ASSERT_TRUE(doc_payload.ok());
+  auto bytes =
+      SaveSectionsToBytes({ImageSection{kDocumentSectionId, *doc_payload}});
+  ASSERT_TRUE(bytes.ok());
   auto loaded = LoadFromBytes(*bytes);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->node_count(), doc.node_count());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("no derived section"),
+            std::string::npos)
+      << loaded.status();
 }
 
 class StorageIoProperty : public ::testing::TestWithParam<uint64_t> {};
@@ -321,7 +332,7 @@ TEST_P(StorageIoProperty, RandomTreeRoundTrip) {
   ASSERT_TRUE(original_xml.ok() && loaded_xml.ok());
   EXPECT_EQ(*loaded_xml, *original_xml);
 
-  ExpectFormatsRoundTripIdentically(*shredded);
+  ExpectDecodesToTheShreddedDocument(*shredded);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StorageIoProperty,
@@ -334,18 +345,129 @@ TEST(StorageIo, DblpImageIsSmallerThanXml) {
   ASSERT_TRUE(xml_text.ok());
   auto doc = ShredXmlText(*xml_text);
   ASSERT_TRUE(doc.ok());
-  SaveOptions plain;
-  plain.derived_section = false;
-  auto bytes = SaveToBytes(*doc, plain);
+  auto bytes = SaveToBytes(*doc);
   ASSERT_TRUE(bytes.ok());
-  // Sanity: the binary image is within 2x of the XML (it stores paths
+  auto sections = LoadSectionsFromBytes(*bytes);
+  ASSERT_TRUE(sections.ok());
+  // Sanity: the DOC2 section is within 2x of the XML (it stores paths
   // once, not per element).
-  EXPECT_LT(bytes->size(), xml_text->size() * 2);
-  // With the persisted derived sections (the open-time rebuild traded
+  EXPECT_LT(sections->sections[0].bytes.size(), xml_text->size() * 2);
+  // With the persisted derived section (the open-time rebuild traded
   // for bytes) the image still stays within 3x.
-  auto derived_bytes = SaveToBytes(*doc);
-  ASSERT_TRUE(derived_bytes.ok());
-  EXPECT_LT(derived_bytes->size(), xml_text->size() * 3);
+  EXPECT_LT(bytes->size(), xml_text->size() * 3);
+}
+
+// --- Version policy ---------------------------------------------------
+
+// Every layout but MXM2 minor 6 is refused at the version check, with
+// nothing else reported: the retired MXM1 magic, and a valid minor-6
+// image re-stamped to each retired front-directory minor 2-5. Every
+// loader says the same thing, in both load modes and on a lazy open.
+TEST(StorageCompat, RetiredVersionsAreRefused) {
+  StoredDocument doc = MustShred(data::PaperExampleXml());
+  auto current = SaveToBytes(doc);
+  ASSERT_TRUE(current.ok());
+  auto doc_payload = SerializeDocumentSection(doc);
+  ASSERT_TRUE(doc_payload.ok());
+
+  std::vector<std::string> retired;
+  // An MXM1 header: magic | u32 version 1 | u64 payload size | u64
+  // checksum, then the payload.
+  util::ByteWriter mxm1;
+  mxm1.Bytes("MXM1");
+  mxm1.U32(1);
+  mxm1.U64(doc_payload->size());
+  mxm1.U64(0);
+  mxm1.Bytes(*doc_payload);
+  retired.push_back(mxm1.Take());
+  for (uint32_t minor : {2u, 3u, 4u, 5u}) {
+    std::string restamped = *current;
+    std::memcpy(restamped.data() + 4, &minor, 4);
+    retired.push_back(restamped);
+  }
+
+  auto expect_refused = [](const util::Status& status, size_t which) {
+    EXPECT_EQ(status.message().rfind("unsupported storage version", 0), 0u)
+        << "image " << which << ": " << status;
+  };
+  for (size_t i = 0; i < retired.size(); ++i) {
+    for (LoadMode mode : {LoadMode::kCopy, LoadMode::kView}) {
+      LoadOptions options;
+      options.mode = mode;
+      expect_refused(LoadFromBytes(retired[i], options).status(), i);
+      expect_refused(text::LoadStoreFromBytes(retired[i], options).status(),
+                     i);
+      store::CatalogLoadOptions catalog_options;
+      catalog_options.mode = mode;
+      expect_refused(
+          store::Catalog::LoadFromBytes(retired[i], catalog_options).status(),
+          i);
+      catalog_options.lazy = true;
+      expect_refused(
+          store::Catalog::LoadFromBytes(retired[i], catalog_options).status(),
+          i);
+    }
+    expect_refused(LoadSectionsFromBytes(retired[i]).status(), i);
+  }
+}
+
+// --- Format pin -------------------------------------------------------
+//
+// The writer's bytes for fixed inputs, pinned by size and a byte-serial
+// FNV-1a hash. The values were recorded with a writer that still
+// carried the retired layouts, so they also show that the remaining
+// layout's bytes did not change when those went. A change here means
+// the on-disk format drifted.
+
+uint64_t PinHash(std::string_view bytes) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(StorageFormatPin, SingleDocumentImages) {
+  StoredDocument doc = MustShred(data::PaperExampleXml());
+  auto single = SaveToBytes(doc);
+  ASSERT_TRUE(single.ok());
+  EXPECT_EQ(single->size(), 1224u);
+  EXPECT_EQ(PinHash(*single), 0xf29ab1d1ee47c477ULL);
+
+  auto index = text::InvertedIndex::Build(doc);
+  ASSERT_TRUE(index.ok());
+  auto store = text::SaveStoreToBytes(doc, &*index);
+  ASSERT_TRUE(store.ok());
+  EXPECT_EQ(store->size(), 1748u);
+  EXPECT_EQ(PinHash(*store), 0x2fd91659ccdc4c48ULL);
+}
+
+TEST(StorageFormatPin, ThreeDocumentCatalogWithOneIndex) {
+  store::Catalog catalog;
+  StoredDocument paper = MustShred(data::PaperExampleXml());
+  auto index = text::InvertedIndex::Build(paper);
+  ASSERT_TRUE(index.ok());
+  ASSERT_TRUE(
+      catalog.Add("paper", std::move(paper), std::move(*index)).ok());
+  data::DblpOptions dblp_options;
+  dblp_options.end_year = 1985;
+  auto dblp_xml = data::GenerateDblpXml(dblp_options);
+  ASSERT_TRUE(dblp_xml.ok());
+  ASSERT_TRUE(catalog.Add("dblp", MustShred(*dblp_xml)).ok());
+  data::RandomTreeOptions tree_options;
+  tree_options.seed = 17;
+  tree_options.target_elements = 120;
+  auto tree = data::GenerateRandomTree(tree_options);
+  ASSERT_TRUE(tree.ok());
+  auto tree_doc = Shred(*tree);
+  ASSERT_TRUE(tree_doc.ok());
+  ASSERT_TRUE(catalog.Add("tree", std::move(*tree_doc)).ok());
+
+  auto bytes = catalog.SaveToBytes();
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(bytes->size(), 331280u);
+  EXPECT_EQ(PinHash(*bytes), 0x14cab38648a8518bULL);
 }
 
 }  // namespace

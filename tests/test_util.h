@@ -3,11 +3,19 @@
 #ifndef MEETXML_TESTS_TEST_UTIL_H_
 #define MEETXML_TESTS_TEST_UTIL_H_
 
+#include <filesystem>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#if defined(_WIN32)
+#include <process.h>
+#else
+#include <unistd.h>
+#endif
 
 #include "model/document.h"
 #include "model/shredder.h"
@@ -21,6 +29,49 @@ inline model::StoredDocument MustShred(std::string_view xml_text) {
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).ValueOrDie();
 }
+
+/// A scratch file under the system temp directory whose name is unique
+/// to the running test and process
+/// (`meetxml_<suite>.<test>_<pid>_<name>`), so tests running in
+/// parallel under `ctest -j` never share a file. The file is removed
+/// when the object goes out of scope.
+class TempFile {
+ public:
+  explicit TempFile(std::string_view name) {
+    const ::testing::TestInfo* test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string unique = "meetxml_";
+    if (test != nullptr) {
+      unique += test->test_suite_name();
+      unique += '.';
+      unique += test->name();
+      unique += '_';
+    }
+#if defined(_WIN32)
+    unique += std::to_string(_getpid());
+#else
+    unique += std::to_string(getpid());
+#endif
+    unique += '_';
+    unique += name;
+    // Parameterized test names carry '/'; keep the file in one directory.
+    for (char& c : unique) {
+      if (c == '/') c = '_';
+    }
+    path_ = (std::filesystem::temp_directory_path() / unique).string();
+  }
+  ~TempFile() {
+    std::error_code ignored;
+    std::filesystem::remove(path_, ignored);
+  }
+  TempFile(const TempFile&) = delete;
+  TempFile& operator=(const TempFile&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Finds the single node whose cdata text equals `text`; fails if the
 /// count differs from one.

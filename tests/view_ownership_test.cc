@@ -25,10 +25,8 @@ namespace model {
 namespace {
 
 using meetxml::testing::MustShred;
+using meetxml::testing::TempFile;
 
-std::string TempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 // The default (DOC2) image of the paper example, long-lived so
 // view-backed documents in these tests can borrow from it.
@@ -151,7 +149,8 @@ TEST(ViewOwnership, EnsureOwnedDetachesTheWholeDocument) {
 }
 
 TEST(ViewOwnership, FileLoadPinsTheMappingPastTheLoaderScope) {
-  std::string path = TempPath("meetxml_view_pin.mxm");
+  TempFile file("view_pin.mxm");
+  const std::string& path = file.path();
   MEETXML_CHECK_OK(SaveToFile(MustShred(data::PaperExampleXml()), path));
 
   LoadOptions options;
@@ -171,8 +170,10 @@ TEST(ViewOwnership, FileLoadPinsTheMappingPastTheLoaderScope) {
 }
 
 TEST(ViewOwnership, CatalogViewLoadRoundTripsAcrossSaves) {
-  std::string path = TempPath("meetxml_view_catalog.mxm");
-  std::string other_path = TempPath("meetxml_view_catalog_copy.mxm");
+  TempFile file("view_catalog.mxm");
+  const std::string& path = file.path();
+  TempFile other_file("view_catalog_copy.mxm");
+  const std::string& other_path = other_file.path();
   {
     store::Catalog catalog;
     ASSERT_TRUE(
@@ -218,13 +219,11 @@ TEST(ViewOwnership, CatalogViewLoadRoundTripsAcrossSaves) {
   ASSERT_TRUE(grown.ok()) << grown.status();
   EXPECT_EQ(grown->size(), 3u);
   EXPECT_NE(grown->Find("paper"), nullptr);
-
-  std::filesystem::remove(path);
-  std::filesystem::remove(other_path);
 }
 
 TEST(ViewOwnership, PersistentStoreViewLoadServesTextQueries) {
-  std::string path = TempPath("meetxml_view_store.mxm");
+  TempFile file("view_store.mxm");
+  const std::string& path = file.path();
   StoredDocument doc = MustShred(data::PaperExampleXml());
   auto index = text::InvertedIndex::Build(doc);
   ASSERT_TRUE(index.ok());
@@ -246,7 +245,6 @@ TEST(ViewOwnership, PersistentStoreViewLoadServesTextQueries) {
       " WHERE a CONTAINS 'Bit' AND b CONTAINS '1999'");
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_FALSE(result->rows.empty());
-  std::filesystem::remove(path);
 }
 
 }  // namespace

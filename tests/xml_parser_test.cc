@@ -151,6 +151,10 @@ struct BadInput {
   const char* text;
 };
 
+// gtest would print the two pointers' bytes, which change from build to
+// build; the case name keeps each registered test name stable.
+void PrintTo(const BadInput& input, std::ostream* os) { *os << input.name; }
+
 class XmlParserErrorTest : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(XmlParserErrorTest, RejectsMalformedInput) {
