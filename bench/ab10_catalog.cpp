@@ -13,6 +13,8 @@
 // time scales linearly in the number of documents (the paper's
 // per-document linearity, Fig. 7, survives federation) and the
 // threaded fan-out flattens wall time until N exceeds the core count.
+// A second fan-out series runs a large unranked projection with no
+// LIMIT, so the merge itself carries thousands of rows per query.
 
 #include <benchmark/benchmark.h>
 
@@ -97,6 +99,13 @@ const char kQuery[] =
     "SELECT MEET(a, b) FROM dblp//cdata a, dblp//cdata b "
     "WHERE a CONTAINS 'ICDE' AND b CONTAINS '1981' EXCLUDE dblp";
 
+const char kUnrankedQuery[] = "SELECT a FROM dblp//cdata a";
+
+// Every series runs at N = 1, 2, 4 and 8 documents.
+void DocCounts(benchmark::internal::Benchmark* b) {
+  b->RangeMultiplier(2)->Range(1, kMaxDocs)->Unit(benchmark::kMillisecond);
+}
+
 // ---- Part 1: one catalog image vs. N separate images --------------------
 
 void BM_LoadCatalogImage(benchmark::State& state) {
@@ -110,12 +119,7 @@ void BM_LoadCatalogImage(benchmark::State& state) {
   state.counters["docs"] = docs;
   state.counters["image_MB"] = static_cast<double>(bytes.size()) / 1e6;
 }
-BENCHMARK(BM_LoadCatalogImage)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LoadCatalogImage)->Apply(DocCounts);
 
 void BM_LoadSeparateImages(benchmark::State& state) {
   int docs = static_cast<int>(state.range(0));
@@ -134,28 +138,20 @@ void BM_LoadSeparateImages(benchmark::State& state) {
   state.counters["docs"] = docs;
   state.counters["image_MB"] = static_cast<double>(total) / 1e6;
 }
-BENCHMARK(BM_LoadSeparateImages)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LoadSeparateImages)->Apply(DocCounts);
 
 // ---- Part 2: fan-out query scaling --------------------------------------
 
-void BM_MultiExecutorFanOut(benchmark::State& state) {
+// Warms the per-document executors and indexes outside the loop; the
+// timed loop isolates routing + execution + merge.
+void RunFanOut(benchmark::State& state, const char* query) {
   int docs = static_cast<int>(state.range(0));
   store::Catalog catalog = BuildCatalog(docs);
   store::MultiExecutor multi(&catalog);
-  // Warm the per-document executors and indexes outside the loop; the
-  // benchmark isolates routing + execution + merge.
-  {
-    auto warm = multi.ExecuteText("*", kQuery);
-    MEETXML_CHECK_OK(warm.status());
-  }
+  MEETXML_CHECK_OK(multi.ExecuteText("*", query).status());
   size_t rows = 0;
   for (auto _ : state) {
-    auto result = multi.ExecuteText("*", kQuery);
+    auto result = multi.ExecuteText("*", query);
     MEETXML_CHECK_OK(result.status());
     rows = result->rows.size();
     benchmark::DoNotOptimize(result);
@@ -163,12 +159,19 @@ void BM_MultiExecutorFanOut(benchmark::State& state) {
   state.counters["docs"] = docs;
   state.counters["rows"] = static_cast<double>(rows);
 }
-BENCHMARK(BM_MultiExecutorFanOut)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+
+void BM_MultiExecutorFanOut(benchmark::State& state) {
+  RunFanOut(state, kQuery);
+}
+BENCHMARK(BM_MultiExecutorFanOut)->Apply(DocCounts);
+
+// A large unranked answer with no LIMIT: every cdata row of every
+// document (about 1.7k per document) goes through the merge, which
+// keeps it in document order.
+void BM_MultiExecutorUnrankedFanOut(benchmark::State& state) {
+  RunFanOut(state, kUnrankedQuery);
+}
+BENCHMARK(BM_MultiExecutorUnrankedFanOut)->Apply(DocCounts);
 
 void BM_SerialExecutorLoop(benchmark::State& state) {
   int docs = static_cast<int>(state.range(0));
@@ -192,12 +195,7 @@ void BM_SerialExecutorLoop(benchmark::State& state) {
   }
   state.counters["docs"] = docs;
 }
-BENCHMARK(BM_SerialExecutorLoop)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SerialExecutorLoop)->Apply(DocCounts);
 
 }  // namespace
 

@@ -127,11 +127,12 @@ Result<std::vector<GeneralMeet>> MeetGeneral(
 
   std::vector<GeneralMeet> results;
 
-  // Bounded mode: keep the k best candidates in a max-heap ordered by
-  // the final ranking key (witness_distance, meet OID). The key is a
-  // total order — meet nodes are unique within a run — so heap-top-k is
-  // byte-identical to sort-then-resize, at O(k) memory.
-  const bool bounded = options.max_results > 0 && !options.materialize_all;
+  // Bounded mode (max_results = k > 0): keep the k best candidates in
+  // a max-heap ordered by the final ranking key (witness_distance, meet
+  // OID). The key is a total order — meet nodes are unique within a
+  // run — so heap-top-k is byte-identical to sort-then-resize, at O(k)
+  // memory. max_results = 0 collects every qualifying meet.
+  const bool bounded = options.max_results > 0;
   auto rank_before = [](const GeneralMeet& a, const GeneralMeet& b) {
     if (a.witness_distance != b.witness_distance) {
       return a.witness_distance < b.witness_distance;
@@ -300,9 +301,6 @@ Result<std::vector<GeneralMeet>> MeetGeneral(
   // first; meet OID breaks ties deterministically. A bounded run holds
   // exactly the top k in heap order and just needs the final sort.
   std::sort(results.begin(), results.end(), rank_before);
-  if (options.max_results > 0 && results.size() > options.max_results) {
-    results.resize(options.max_results);
-  }
   return results;
 }
 

@@ -1,5 +1,6 @@
 // Result restrictions for the meet operator (paper §4): type (path)
-// restrictions meet_X, the distance bound of d-meet, and ranking.
+// restrictions meet_X, the distance bound of d-meet, and the top-k
+// bound on the join-count ranking.
 
 #ifndef MEETXML_CORE_RESTRICTIONS_H_
 #define MEETXML_CORE_RESTRICTIONS_H_
@@ -34,13 +35,9 @@ struct MeetOptions {
   /// Stop after this many results (0 = unlimited). A bounded run keeps a
   /// size-k heap instead of the full result vector, so memory is O(k)
   /// and candidates provably outside the top k skip witness
-  /// materialization entirely.
+  /// materialization entirely. The unbounded mode serves
+  /// MeetGeneralNodes and cross-document lookup.
   size_t max_results = 0;
-
-  /// Collect every qualifying meet and only trim to max_results after
-  /// the final sort — the pre-heap behaviour, kept selectable so the
-  /// streaming-vs-materialized benches compare real work, not flags.
-  bool materialize_all = false;
 
   /// Optional distance ceiling shared across a multi-document fan-out:
   /// candidates strictly farther than the loaded value are pruned

@@ -67,7 +67,6 @@
 #include "core/meet_general_relational.h"
 #include "core/meet_pair.h"
 #include "core/meet_set.h"
-#include "core/ranking.h"
 #include "core/restrictions.h"
 
 // Query language.

@@ -62,12 +62,6 @@ struct DocTrace {
   uint64_t decode_us = 0;
   uint64_t index_build_us = 0;
   uint64_t execute_us = 0;
-  uint64_t rows = 0;
-  /// Top-k pruning breakdown (store/multi_executor.h): answers this
-  /// document materialized vs. qualifying answers it skipped via limit
-  /// pushdown, the bounded heap, or the shared distance ceiling.
-  uint64_t rows_examined = 0;
-  uint64_t rows_pruned = 0;
 };
 
 /// \brief Collects stage timings for one query dispatch.

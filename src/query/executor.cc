@@ -316,6 +316,10 @@ Result<QueryResult> Executor::Execute(const Query& query,
       execute_us->Record(static_cast<uint64_t>(timer.ElapsedMicros()));
     }
   } record;
+  // Fault-injection site: one document of a fan-out failing must
+  // surface as a clean error for the whole merge, never a partial
+  // answer.
+  MEETXML_FAILPOINT("query.execute");
   const StoredDocument& doc = *doc_;
   if (query.projections.size() != 1) {
     return Status::NotImplemented(
@@ -374,7 +378,6 @@ Result<QueryResult> Executor::Execute(const Query& query,
         break;
       }
       meet_options.max_results = row_cap;
-      meet_options.materialize_all = options.materialized_merge;
       meet_options.shared_max_distance = options.rank_ceiling;
 
       std::vector<AssocSet> inputs;
@@ -641,16 +644,6 @@ Result<QueryResult> Executor::ExecuteText(
     std::string_view text, const ExecuteOptions& options) const {
   MEETXML_ASSIGN_OR_RETURN(Query query, ParseQuery(text));
   return Execute(query, options);
-}
-
-Result<RankedCursor> Executor::ExecuteRanked(
-    const Query& query, const ExecuteOptions& options) const {
-  // Fault-injection site: one document of a streaming fan-out failing
-  // must surface as a clean error for the whole merge, never a partial
-  // answer.
-  MEETXML_FAILPOINT("query.cursor");
-  MEETXML_ASSIGN_OR_RETURN(QueryResult result, Execute(query, options));
-  return RankedCursor(std::move(result));
 }
 
 namespace {

@@ -32,19 +32,12 @@ struct ExecuteOptions {
 
   /// Caller-supplied bound on useful rows (0 = none): the server maps
   /// its wire-protocol result-byte cap to a row count here so daemon
-  /// queries without an explicit LIMIT still get limit pushdown. Unlike
-  /// max_rows this marks the answer as bounded, enabling the streaming
-  /// top-k merge.
+  /// queries without an explicit LIMIT still get limit pushdown.
+  /// Rows past the hint mark the answer truncated.
   size_t limit_hint = 0;
 
   /// Worker threads for the multi-document fan-out (0 = hardware).
   unsigned merge_threads = 0;
-
-  /// Force the legacy materialize-then-sort merge (and unbounded
-  /// per-document meet collection). The escape hatch the equivalence
-  /// tests and the ab15 streaming-vs-materialized bench compare
-  /// against.
-  bool materialized_merge = false;
 
   /// Shared witness-distance ceiling for cross-document early
   /// termination; installed by store::MultiExecutor, not by end users.
@@ -96,43 +89,6 @@ struct QueryResult {
   std::string ToText() const;
 };
 
-/// \brief Pull-based iterator over a ranked result, yielding rows in
-/// ascending witness distance (then row index). For MEET projections
-/// the per-row distance is the meet's witness_distance; rows of
-/// unranked projections all rank at distance 0 and keep their
-/// enumeration order. The cursor owns the result; TakeRow() moves the
-/// row strings out, so a consumed cursor's backing rows are spent.
-class RankedCursor {
- public:
-  explicit RankedCursor(QueryResult result) : result_(std::move(result)) {}
-
-  bool Done() const { return next_ >= result_.rows.size(); }
-  size_t index() const { return next_; }
-  int distance() const {
-    return next_ < result_.meets.size()
-               ? result_.meets[next_].witness_distance
-               : 0;
-  }
-  std::vector<std::string> TakeRow() {
-    return std::move(result_.rows[next_++]);
-  }
-
-  const QueryResult& result() const { return result_; }
-
-  /// \brief Surrenders the result for per-document bookkeeping. Rows
-  /// and meets are cleared (partially moved-from after TakeRow); the
-  /// counts, stats and flags survive.
-  QueryResult Consume() && {
-    result_.rows.clear();
-    result_.meets.clear();
-    return std::move(result_);
-  }
-
- private:
-  QueryResult result_;
-  size_t next_ = 0;
-};
-
 /// \brief Executes queries against one stored document.
 ///
 /// The full-text indexes are built lazily, on the first query with a
@@ -150,20 +106,17 @@ class Executor {
   static util::Result<Executor> Build(const model::StoredDocument& doc,
                                       text::FullTextSearch search);
 
-  /// \brief Executes a parsed query.
+  /// \brief Executes a parsed query. MEET rows (and their parallel
+  /// `meets`) ascend in (witness_distance, meet OID) — the order the
+  /// store::MultiExecutor merge relies on; other projections keep
+  /// enumeration order. Carries the "query.execute" failpoint so fault
+  /// injection can fail one document mid-fan-out.
   util::Result<QueryResult> Execute(const Query& query,
                                     const ExecuteOptions& options = {}) const;
 
   /// \brief Parses and executes query text.
   util::Result<QueryResult> ExecuteText(
       std::string_view text, const ExecuteOptions& options = {}) const;
-
-  /// \brief Executes a query and wraps the (distance-ordered) result in
-  /// a RankedCursor for incremental consumption — the per-document leg
-  /// of the streaming top-k merge. Carries the "query.cursor" failpoint
-  /// so fault injection can fail one document mid-fan-out.
-  util::Result<RankedCursor> ExecuteRanked(
-      const Query& query, const ExecuteOptions& options = {}) const;
 
   /// \brief Explains a query without running its projection: per
   /// binding the matched schema paths and their cardinalities before

@@ -72,6 +72,8 @@ inline constexpr uint64_t kProtocolVersion = 2;
 /// \brief Oldest client version HELLO accepts: the server speaks one
 /// version.
 inline constexpr uint64_t kMinProtocolVersion = 2;
+/// \brief Banner the server's HELLO response carries.
+inline constexpr std::string_view kServerBanner = "meetxmld/1";
 /// \brief Hard ceiling on one frame's payload. An advertised length
 /// beyond it is rejected before any allocation — a hostile length
 /// prefix must not become a multi-gigabyte reserve.

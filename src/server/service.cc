@@ -267,7 +267,7 @@ std::string QueryService::Dispatch(Connection* connection,
       connection->session_id_ = *id;
       sessions_opened_counter_->Add(1);
       response.session_id = *id;
-      response.banner = options_.banner;
+      response.banner = kServerBanner;
       return EncodeResponse(response);
     }
     case Opcode::kQuery:
@@ -407,11 +407,10 @@ std::string QueryService::HandleQuery(Connection* connection,
   query::ExecuteOptions exec = options_.execute;
   // Push the byte cap down as a row-count hint: a rendered row costs
   // at least two bytes (one cell plus the newline), so more than cap/2
-  // rows can never fit — stop producing them inside the executors, and
-  // let ranked queries without an explicit LIMIT take the streaming
-  // top-k merge. Any answer the hint truncates still overruns the byte
-  // cap below, so the error contract is unchanged; complete answers
-  // are byte-identical.
+  // rows can never fit — stop producing them inside the executors and
+  // cap the merge heap there. Any answer the hint truncates still
+  // overruns the byte cap below, so the error contract is unchanged;
+  // complete answers are byte-identical.
   uint64_t row_hint = cap / 2;
   if (row_hint > 0 &&
       (exec.limit_hint == 0 || exec.limit_hint > row_hint)) {

@@ -69,8 +69,6 @@ struct ServiceOptions {
   /// timestamps (the ab14 overhead bench's baseline); kStats and
   /// kDump still answer from whatever was recorded.
   bool observe = true;
-  /// Banner carried by the HELLO response.
-  std::string banner = "meetxmld/1";
   /// Admission cap: queries admitted (queued or dispatching) at once,
   /// across every transport. The query that would exceed it is shed
   /// with a busy reply instead of queueing unboundedly. 0 = unbounded.

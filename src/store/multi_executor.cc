@@ -66,10 +66,9 @@ Result<MultiResult> MultiExecutor::Execute(
     executors.push_back(executor);
   }
 
-  // A bounded answer is one the user (LIMIT) or the server (limit
-  // hint) capped; everything below it is discardable. Only bounded
-  // ranked queries stream — an unbounded query wants every row anyway,
-  // and unranked rows carry no order to race a heap over.
+  // MEET rows rank by the paper's witness distance; every other
+  // projection ranks all rows at distance 0, so the merge key below
+  // degenerates to (document, row) order.
   const bool rank_by_distance =
       !query.projections.empty() &&
       query.projections.front().kind == query::Projection::Kind::kMeet;
@@ -80,16 +79,13 @@ Result<MultiResult> MultiExecutor::Execute(
   if (options.limit_hint > 0) {
     row_cap = std::min(row_cap, options.limit_hint);
   }
-  const bool bounded =
-      query.limit.has_value() || options.limit_hint > 0;
-  const bool streaming =
-      rank_by_distance && bounded && !options.materialized_merge;
 
-  // The global top-k heap of the streaming merge: worst row at the
-  // front, ordered by the determinism pin's full key — (distance,
-  // document index, row index) — so heap-top-k reproduces the legacy
-  // stable sort byte for byte. Each entry owns its row cells, moved
-  // out of the per-document result by the cursor.
+  // The global k-bounded heap every fan-out merges through: worst row
+  // at the front, ordered by the full key (distance, document index,
+  // row index), so the answer is a deterministic function of the
+  // per-document answers at any thread count. Each entry owns its row
+  // cells, moved out of the per-document result. Below row_cap rows are
+  // only collected; the vector is made a heap once the cap binds.
   struct MergeRow {
     int distance;
     size_t doc;
@@ -103,84 +99,61 @@ Result<MultiResult> MultiExecutor::Execute(
   };
   std::vector<MergeRow> heap;
   std::mutex heap_mu;
+  // Once the heap is full its worst distance is a shared ceiling that
+  // early-terminates the remaining documents' meet enumeration. The
+  // relaxed ceiling is a pure pruning hint — a stale read costs work,
+  // never rows — so the merged answer stays exact.
   std::atomic<int> ceiling{std::numeric_limits<int>::max()};
+  query::ExecuteOptions doc_options = options;
+  doc_options.rank_ceiling = &ceiling;
 
   std::vector<Result<query::QueryResult>> outcomes(
       names.size(), Status::Internal("query did not run"));
+  std::vector<uint64_t> examined(names.size(), 0);
   util::ParallelFor(names.size(), options.merge_threads, [&](size_t i) {
-    if (!streaming) {
-      if (trace == nullptr) {
-        outcomes[i] = executors[i]->Execute(query, options);
-        return;
-      }
-      // QueryTrace's stage accumulators are atomic, so concurrent
-      // workers may add to kExecute; the per-doc slot is this worker's
-      // alone until the fan-out joins.
-      obs::DocTrace* doc = trace->doc(i);
-      obs::TraceSpan execute_span(trace, obs::Stage::kExecute,
-                                  &doc->execute_us);
-      outcomes[i] = executors[i]->Execute(query, options);
-      execute_span.Stop();
-      if (outcomes[i].ok()) doc->rows = outcomes[i]->rows.size();
-      return;
-    }
+    // QueryTrace's stage accumulators are atomic, so concurrent
+    // workers may add to kExecute; the per-doc slot is this worker's
+    // alone until the fan-out joins.
+    obs::TraceSpan execute_span(
+        trace, obs::Stage::kExecute,
+        trace != nullptr ? &trace->doc(i)->execute_us : nullptr);
+    outcomes[i] = executors[i]->Execute(query, doc_options);
+    execute_span.Stop();
+    if (!outcomes[i].ok()) return;
+    query::QueryResult& result = *outcomes[i];
+    examined[i] = rank_by_distance ? result.meet_stats.meets_materialized
+                                   : result.rows.size();
 
-    // Streaming leg: run this document under the shared distance
-    // ceiling, then drain its cursor into the global heap. The relaxed
-    // ceiling is a pure pruning hint — a stale read costs work, never
-    // rows — so the merged answer stays exact.
-    query::ExecuteOptions doc_options = options;
-    doc_options.rank_ceiling = &ceiling;
-    Result<query::RankedCursor> cursor =
-        Status::Internal("query did not run");
-    if (trace == nullptr) {
-      cursor = executors[i]->ExecuteRanked(query, doc_options);
-    } else {
-      obs::DocTrace* doc = trace->doc(i);
-      obs::TraceSpan execute_span(trace, obs::Stage::kExecute,
-                                  &doc->execute_us);
-      cursor = executors[i]->ExecuteRanked(query, doc_options);
-      execute_span.Stop();
-    }
-    if (!cursor.ok()) {
-      outcomes[i] = cursor.status();
-      return;
-    }
-    size_t doc_rows = cursor->result().rows.size();
     {
       obs::TraceSpan merge_span(trace, obs::Stage::kMerge);
       std::lock_guard<std::mutex> lock(heap_mu);
-      while (!cursor->Done() && row_cap > 0) {
-        int distance = cursor->distance();
-        size_t r = cursor->index();
-        if (heap.size() >= row_cap) {
-          const MergeRow& worst = heap.front();
-          bool better =
-              distance < worst.distance ||
-              (distance == worst.distance &&
-               (i < worst.doc || (i == worst.doc && r < worst.row)));
-          // The cursor ascends in (distance, row): once one row loses
-          // to the current worst, every later row of this document
-          // loses too.
-          if (!better) break;
+      for (size_t r = 0; r < result.rows.size() && row_cap > 0; ++r) {
+        MergeRow candidate{
+            rank_by_distance ? result.meets[r].witness_distance : 0, i, r, {}};
+        const bool full = heap.size() >= row_cap;
+        if (full) {
+          // Rows ascend in (distance, row): once one row loses to the
+          // current worst, every later row of this document loses too.
+          if (!row_before(candidate, heap.front())) break;
           std::pop_heap(heap.begin(), heap.end(), row_before);
           heap.pop_back();
         }
-        heap.push_back(MergeRow{distance, i, r, cursor->TakeRow()});
-        std::push_heap(heap.begin(), heap.end(), row_before);
+        candidate.cells = std::move(result.rows[r]);
+        heap.push_back(std::move(candidate));
+        if (full) {
+          std::push_heap(heap.begin(), heap.end(), row_before);
+        } else if (heap.size() == row_cap) {
+          std::make_heap(heap.begin(), heap.end(), row_before);
+        }
       }
       if (row_cap > 0 && heap.size() >= row_cap) {
         ceiling.store(heap.front().distance, std::memory_order_relaxed);
       }
     }
-    query::QueryResult rest = std::move(*cursor).Consume();
-    if (trace != nullptr) {
-      obs::DocTrace* doc = trace->doc(i);
-      doc->rows = doc_rows;
-      doc->rows_examined = rest.meet_stats.meets_materialized;
-      doc->rows_pruned = rest.meet_stats.meets_pruned;
-    }
-    outcomes[i] = std::move(rest);
+    // Outside the lock: freeing the spent rows and witness lists is
+    // per-document work. What stays is counts, stats and flags.
+    result.rows.clear();
+    result.meets.clear();
   });
 
   obs::TraceSpan merge_span(trace, obs::Stage::kMerge);
@@ -199,59 +172,16 @@ Result<MultiResult> MultiExecutor::Execute(
   merged.columns.insert(merged.columns.end(), first.columns.begin(),
                         first.columns.end());
 
-  if (streaming) {
-    std::sort(heap.begin(), heap.end(), row_before);
-    // Micro-fix per the streaming contract: the heap already *is* the
-    // final answer, so reserve exactly its size and move the cells —
-    // no per-row string copies, no over-reservation.
-    merged.rows.reserve(heap.size());
-    for (MergeRow& ref : heap) {
-      std::vector<std::string> row;
-      row.reserve(1 + ref.cells.size());
-      row.push_back(merged.per_document[ref.doc].name);
-      for (std::string& cell : ref.cells) {
-        row.push_back(std::move(cell));
-      }
-      merged.rows.push_back(std::move(row));
+  std::sort(heap.begin(), heap.end(), row_before);
+  merged.rows.reserve(heap.size());
+  for (MergeRow& ref : heap) {
+    std::vector<std::string> row;
+    row.reserve(1 + ref.cells.size());
+    row.push_back(merged.per_document[ref.doc].name);
+    for (std::string& cell : ref.cells) {
+      row.push_back(std::move(cell));
     }
-  } else {
-    // Materialized merge: MEET rows are globally re-ranked by the
-    // paper's witness-distance heuristic (rows and meets are parallel
-    // vectors in a MEET QueryResult); everything else keeps document
-    // order.
-    struct RowRef {
-      int distance;
-      size_t doc;
-      size_t row;
-    };
-    std::vector<RowRef> order;
-    for (size_t d = 0; d < merged.per_document.size(); ++d) {
-      const query::QueryResult& result = merged.per_document[d].result;
-      for (size_t r = 0; r < result.rows.size(); ++r) {
-        int distance =
-            rank_by_distance && r < result.meets.size()
-                ? result.meets[r].witness_distance
-                : 0;
-        order.push_back(RowRef{distance, d, r});
-      }
-    }
-    if (rank_by_distance) {
-      std::stable_sort(order.begin(), order.end(),
-                       [](const RowRef& a, const RowRef& b) {
-                         return a.distance < b.distance;
-                       });
-    }
-    merged.rows.reserve(std::min(order.size(), row_cap));
-    for (const RowRef& ref : order) {
-      if (merged.rows.size() >= row_cap) break;
-      const DocumentResult& from = merged.per_document[ref.doc];
-      std::vector<std::string> row;
-      row.reserve(1 + from.result.rows[ref.row].size());
-      row.push_back(from.name);
-      row.insert(row.end(), from.result.rows[ref.row].begin(),
-                 from.result.rows[ref.row].end());
-      merged.rows.push_back(std::move(row));
-    }
+    merged.rows.push_back(std::move(row));
   }
 
   // Truncation means an *incomplete* answer: rows the user asked for
@@ -263,14 +193,11 @@ Result<MultiResult> MultiExecutor::Execute(
   // execution and leaves rows_found a lower bound (rows_found_exact
   // false).
   bool exact = true;
-  for (const DocumentResult& entry : merged.per_document) {
-    merged.rows_found += entry.result.rows_found;
-    exact = exact && entry.result.rows_found_exact;
-    if (rank_by_distance) {
-      merged.rows_examined += entry.result.meet_stats.meets_materialized;
-    } else {
-      merged.rows_examined += entry.result.rows.size();
-    }
+  for (size_t i = 0; i < merged.per_document.size(); ++i) {
+    const query::QueryResult& result = merged.per_document[i].result;
+    merged.rows_found += result.rows_found;
+    exact = exact && result.rows_found_exact;
+    merged.rows_examined += examined[i];
   }
   if (merged.rows_found > merged.rows_examined) {
     merged.rows_pruned = merged.rows_found - merged.rows_examined;
@@ -279,19 +206,6 @@ Result<MultiResult> MultiExecutor::Execute(
                      merged.rows.size() < user_limit;
   RowsExaminedCounter()->Add(merged.rows_examined);
   RowsPrunedCounter()->Add(merged.rows_pruned);
-  if (!streaming && trace != nullptr) {
-    for (size_t i = 0; i < merged.per_document.size(); ++i) {
-      const query::QueryResult& result = merged.per_document[i].result;
-      obs::DocTrace* doc = trace->doc(i);
-      doc->rows_examined = rank_by_distance
-                               ? result.meet_stats.meets_materialized
-                               : result.rows.size();
-      uint64_t doc_found = result.rows_found;
-      doc->rows_pruned = doc_found > doc->rows_examined
-                             ? doc_found - doc->rows_examined
-                             : 0;
-    }
-  }
   return merged;
 }
 

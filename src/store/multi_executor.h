@@ -6,10 +6,11 @@
 // surface for the catalog: a parsed query is routed to one document, a
 // name-glob subset, or all documents; per-document execution fans out
 // on a thread pool (reusing query::Executor and the lazy per-document
-// text indexes); and the per-document answers merge into
-// document-qualified rows — for MEET projections re-ranked globally by
-// the paper's witness-distance heuristic, so the best nearest concept
-// wins regardless of which document it lives in.
+// text indexes); and the per-document answers merge through one
+// k-bounded heap into document-qualified rows — for MEET projections
+// ranked globally by the paper's witness-distance heuristic (the
+// number of joins, §4), so the best nearest concept wins regardless of
+// which document it lives in.
 
 #ifndef MEETXML_STORE_MULTI_EXECUTOR_H_
 #define MEETXML_STORE_MULTI_EXECUTOR_H_
@@ -41,10 +42,9 @@ struct MultiResult {
   /// are globally re-ranked by ascending witness distance; other
   /// projections keep (document, row) order.
   std::vector<std::vector<std::string>> rows;
-  /// Structured per-document access (meets, stats, exact counts). On
-  /// the streaming top-k path the per-document `rows` and `meets` are
-  /// consumed into the merged answer (counts, stats and flags remain);
-  /// pass ExecuteOptions::materialized_merge to keep them intact.
+  /// Per-document bookkeeping: columns, counts, meet stats and flags.
+  /// The per-document `rows` and `meets` are always empty — their rows
+  /// moved into the merged answer.
   std::vector<DocumentResult> per_document;
 
   /// Exact total of answer rows the query implies across all scoped
@@ -99,13 +99,15 @@ class MultiExecutor {
   /// index build (the catalog's first-touch costs), per-document
   /// execute, and the global merge (obs/trace.h).
   ///
-  /// A ranked (MEET) query with a bound — an explicit LIMIT k or a
-  /// limit_hint — takes the streaming top-k path: each document's
-  /// RankedCursor drains into one global k-bounded heap, and once the
-  /// heap is full its worst distance becomes a shared ceiling that
-  /// early-terminates the remaining documents' enumeration. Memory is
-  /// O(k); the merged rows are byte-identical to the materialized
-  /// path at any thread count.
+  /// Every query takes one merge. Each document's answer drains into
+  /// one global heap keyed (distance, document index, row index) and
+  /// capped at k = min(max_rows, LIMIT, limit_hint); MEET rows carry
+  /// their witness distance, all other rows rank at 0, so they keep
+  /// (document, row) order. Once the heap is full its worst distance
+  /// becomes a shared ceiling that early-terminates the remaining
+  /// documents' meet enumeration — for unbounded queries too, where it
+  /// only engages once an answer exceeds max_rows. Memory is O(k); the
+  /// merged rows are byte-identical at any thread count.
   util::Result<MultiResult> Execute(
       std::string_view scope, const query::Query& query,
       const query::ExecuteOptions& options = {},

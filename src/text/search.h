@@ -79,8 +79,9 @@ class FullTextSearch {
       const std::vector<TermMatches>& matches);
 
   /// \brief Like ToMeetInput, and also fills `source_terms` with the
-  /// index of the originating term for every flattened set — the
-  /// `source_groups` mapping RankMeets uses to count term coverage.
+  /// index of the originating term for every flattened set, so a
+  /// caller can count how many distinct terms a meet's witnesses cover
+  /// (examples/bibliography_search.cpp ranks by that coverage).
   static std::vector<core::AssocSet> ToMeetInput(
       const std::vector<TermMatches>& matches,
       std::vector<size_t>* source_terms);

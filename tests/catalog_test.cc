@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -796,6 +797,8 @@ TEST(MultiExecutor, MergedAnswersMatchPerDocumentExecutors) {
   ASSERT_TRUE(merged.ok()) << merged.status();
 
   size_t single_total = 0;
+  // Witness distance of every document-qualified single-document row.
+  std::map<std::vector<std::string>, int> distances;
   for (const std::string& name : catalog.MatchNames("*")) {
     auto executor = catalog.ExecutorFor(name);
     ASSERT_TRUE(executor.ok());
@@ -804,7 +807,8 @@ TEST(MultiExecutor, MergedAnswersMatchPerDocumentExecutors) {
     single_total += single->rows.size();
     // Every single-document row appears in the merged result, with the
     // document name prepended.
-    for (const auto& row : single->rows) {
+    for (size_t r = 0; r < single->rows.size(); ++r) {
+      const auto& row = single->rows[r];
       std::vector<std::string> qualified;
       qualified.push_back(name);
       qualified.insert(qualified.end(), row.begin(), row.end());
@@ -812,6 +816,7 @@ TEST(MultiExecutor, MergedAnswersMatchPerDocumentExecutors) {
                           qualified),
                 merged->rows.end())
           << "missing row from " << name;
+      distances[qualified] = single->meets[r].witness_distance;
     }
   }
   EXPECT_EQ(merged->rows.size(), single_total);
@@ -819,17 +824,9 @@ TEST(MultiExecutor, MergedAnswersMatchPerDocumentExecutors) {
 
   // Rows are globally ordered by ascending witness distance.
   auto distance_of = [&](const std::vector<std::string>& row) {
-    for (const auto& doc_result : merged->per_document) {
-      if (doc_result.name != row[0]) continue;
-      for (size_t r = 0; r < doc_result.result.rows.size(); ++r) {
-        if (std::equal(row.begin() + 1, row.end(),
-                       doc_result.result.rows[r].begin(),
-                       doc_result.result.rows[r].end())) {
-          return doc_result.result.meets[r].witness_distance;
-        }
-      }
-    }
-    ADD_FAILURE() << "row not found in per-document results";
+    auto found = distances.find(row);
+    if (found != distances.end()) return found->second;
+    ADD_FAILURE() << "row not found in single-document results";
     return -1;
   };
   for (size_t r = 1; r < merged->rows.size(); ++r) {

@@ -1,13 +1,14 @@
 // End-to-end integration tests: whole pipelines across modules —
 // generate -> serialize -> parse -> shred -> persist -> reload ->
-// index -> search -> meet -> rank -> reassemble, plus the query
+// index -> search -> meet -> filter -> reassemble, plus the query
 // language over generated corpora.
+
+#include <set>
 
 #include <gtest/gtest.h>
 
 #include "core/idref.h"
 #include "core/meet_general.h"
-#include "core/ranking.h"
 #include "core/restrictions.h"
 #include "data/dblp_gen.h"
 #include "data/multimedia_gen.h"
@@ -102,17 +103,20 @@ TEST_F(DblpPipeline, CaseStudyResultsAreIcdePublications) {
   ASSERT_TRUE(meets.ok());
   ASSERT_GT(meets->size(), 0u);
 
-  // Rank and require both *terms* covered: every surviving result must
-  // be an ICDE entry (inproceedings or proceedings or a cdata inside
-  // one).
-  core::RankingOptions ranking_options;
-  ranking_options.source_groups = &source_terms;
-  auto ranked = core::FilterBySourceCoverage(
-      core::RankMeets(*doc_, std::move(*meets), ranking_options), 2);
-  ASSERT_GT(ranked.size(), 0u);
+  // Require both *terms* covered: every surviving result must be an
+  // ICDE entry (inproceedings or proceedings or a cdata inside one).
+  std::vector<core::GeneralMeet> covering;
+  for (core::GeneralMeet& meet : *meets) {
+    std::set<size_t> terms;
+    for (const core::MeetWitness& witness : meet.witnesses) {
+      terms.insert(source_terms[witness.source]);
+    }
+    if (terms.size() >= 2) covering.push_back(std::move(meet));
+  }
+  ASSERT_GT(covering.size(), 0u);
   size_t icde_entries = 0;
-  for (const core::RankedMeet& entry : ranked) {
-    bat::Oid node = entry.meet.meet;
+  for (const core::GeneralMeet& meet : covering) {
+    bat::Oid node = meet.meet;
     // Climb to the enclosing publication element.
     while (node != doc_->root() && doc_->tag(node) != "inproceedings" &&
            doc_->tag(node) != "proceedings") {
@@ -127,7 +131,7 @@ TEST_F(DblpPipeline, CaseStudyResultsAreIcdePublications) {
     }
   }
   // The vast majority (paper: "just two false positives").
-  EXPECT_GE(icde_entries * 10, ranked.size() * 9);
+  EXPECT_GE(icde_entries * 10, covering.size() * 9);
 }
 
 TEST_F(DblpPipeline, StatsReflectTheCorpus) {

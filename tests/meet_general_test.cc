@@ -3,15 +3,19 @@
 
 #include <algorithm>
 #include <map>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/meet_general.h"
 #include "core/meet_pair.h"
+#include "data/dblp_gen.h"
 #include "data/paper_example.h"
 #include "data/random_tree.h"
 #include "model/shredder.h"
 #include "tests/test_util.h"
+#include "text/search.h"
 #include "util/rng.h"
 
 namespace meetxml {
@@ -348,6 +352,143 @@ TEST(MeetGeneral, StatsLiftsBoundedByDepthSum) {
   for (Oid oid : all) depth_sum += doc.depth(oid);
   EXPECT_LE(stats.lifts, depth_sum);
   EXPECT_EQ(stats.items_seeded, all.size());
+}
+
+// ---- Bounded-heap oracle -------------------------------------------------
+
+// Everything the oracle compares of one meet, ordered by the ranking
+// key (witness_distance, meet OID) first.
+using MeetKey = std::tuple<int, Oid, PathId,
+                           std::vector<std::tuple<Oid, PathId, size_t, int>>>;
+
+std::vector<MeetKey> KeysOf(const std::vector<GeneralMeet>& meets,
+                            size_t k) {
+  std::vector<MeetKey> keys;
+  for (size_t r = 0; r < meets.size() && r < k; ++r) {
+    const GeneralMeet& meet = meets[r];
+    keys.emplace_back(meet.witness_distance, meet.meet, meet.meet_path,
+                      std::vector<std::tuple<Oid, PathId, size_t, int>>{});
+    for (const MeetWitness& w : meet.witnesses) {
+      std::get<3>(keys.back())
+          .emplace_back(w.assoc.node, w.assoc.path, w.source, w.distance);
+    }
+  }
+  return keys;
+}
+
+// The bounded mode (max_results = k) must equal full collection
+// (max_results = 0) truncated to k — meets, paths, distances and
+// witness lists — with the same meets_found, every found meet either
+// materialized or pruned, and rows strictly ascending in (distance,
+// meet OID). Checked with and without root exclusion, unbounded and at
+// WITHIN 4 and 8, for k = 1, a k that cuts a run of equal distances,
+// and k at and beyond the total. Returns how many configurations had
+// such a run to cut.
+int ExpectBoundedMatchesFullCollection(const model::StoredDocument& doc,
+                                       const std::vector<AssocSet>& inputs) {
+  int tie_cuts = 0;
+  for (bool exclude_root : {false, true}) {
+    for (int within : {0, 4, 8}) {
+      MeetOptions options =
+          exclude_root ? ExcludeRootOptions(doc) : MeetOptions{};
+      if (within > 0) options.max_distance = within;
+      MeetGeneralStats full_stats;
+      auto full = MeetGeneral(doc, inputs, options, &full_stats);
+      EXPECT_TRUE(full.ok()) << full.status();
+      if (!full.ok()) return tie_cuts;
+      EXPECT_TRUE(exclude_root || within > 0 || !full->empty());
+      std::vector<size_t> ks = {1, full->size(), full->size() + 5};
+      for (size_t i = 1; i < full->size(); ++i) {
+        if ((*full)[i].witness_distance == (*full)[i - 1].witness_distance) {
+          ks.push_back(i);
+          ++tie_cuts;
+          break;
+        }
+      }
+      for (size_t k : ks) {
+        SCOPED_TRACE("exclude_root=" + std::to_string(exclude_root) +
+                     " within=" + std::to_string(within) +
+                     " k=" + std::to_string(k));
+        options.max_results = k;
+        MeetGeneralStats stats;
+        auto bounded = MeetGeneral(doc, inputs, options, &stats);
+        EXPECT_TRUE(bounded.ok()) << bounded.status();
+        if (!bounded.ok()) return tie_cuts;
+        std::vector<MeetKey> got = KeysOf(*bounded, bounded->size());
+        EXPECT_EQ(got, KeysOf(*full, k));
+        EXPECT_EQ(std::adjacent_find(got.begin(), got.end(),
+                                     [](const MeetKey& a, const MeetKey& b) {
+                                       return !(a < b);
+                                     }),
+                  got.end());
+        EXPECT_EQ(stats.meets_found, full_stats.meets_found);
+        EXPECT_EQ(stats.meets_found,
+                  stats.meets_materialized + stats.meets_pruned);
+      }
+    }
+  }
+  return tie_cuts;
+}
+
+std::vector<AssocSet> SearchInputs(const model::StoredDocument& doc,
+                                   const std::vector<std::string>& terms) {
+  auto search = text::FullTextSearch::Build(doc);
+  EXPECT_TRUE(search.ok()) << search.status();
+  auto matches = search->SearchAll(terms, text::MatchMode::kContains);
+  EXPECT_TRUE(matches.ok()) << matches.status();
+  return text::FullTextSearch::ToMeetInput(*matches);
+}
+
+TEST(MeetGeneralTopK, BoundedHeapMatchesFullCollectionOnPaperExample) {
+  auto doc = MustShred(data::PaperExampleXml());
+  ExpectBoundedMatchesFullCollection(doc,
+                                     SearchInputs(doc, {"B", "1999"}));
+}
+
+TEST(MeetGeneralTopK, BoundedHeapMatchesFullCollectionOnDblp) {
+  data::DblpOptions options;
+  options.start_year = 1980;
+  options.end_year = 1981;
+  auto generated = data::GenerateDblp(options);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  auto doc = model::Shred(*generated);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  EXPECT_GT(ExpectBoundedMatchesFullCollection(
+                *doc, SearchInputs(*doc, {"ICDE", "198"})),
+            0);
+}
+
+TEST(MeetGeneralTopK, BoundedHeapMatchesFullCollectionOnRandomTrees) {
+  for (uint64_t seed : {7u, 21u, 99u}) {
+    data::RandomTreeOptions options;
+    options.seed = seed;
+    options.target_elements = 300;
+    options.tag_vocabulary = 5;
+    auto generated = data::GenerateRandomTree(options);
+    ASSERT_TRUE(generated.ok()) << generated.status();
+    auto doc = model::Shred(*generated);
+    ASSERT_TRUE(doc.ok()) << doc.status();
+    // Three sources of random nodes, grouped into sets by path.
+    util::Rng rng(seed);
+    std::vector<AssocSet> inputs;
+    for (int source = 0; source < 3; ++source) {
+      std::map<PathId, AssocSet> grouped;
+      for (int i = 0; i < 30; ++i) {
+        Oid node = static_cast<Oid>(rng.NextBelow(doc->node_count()));
+        AssocSet& set = grouped[doc->path(node)];
+        set.path = doc->path(node);
+        set.nodes.push_back(node);
+      }
+      for (auto& [path, set] : grouped) {
+        std::sort(set.nodes.begin(), set.nodes.end());
+        set.nodes.erase(std::unique(set.nodes.begin(), set.nodes.end()),
+                        set.nodes.end());
+        inputs.push_back(std::move(set));
+      }
+    }
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    EXPECT_GT(ExpectBoundedMatchesFullCollection(*doc, inputs), 0);
+  }
 }
 
 // ---- Property tests -----------------------------------------------------

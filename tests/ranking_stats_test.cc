@@ -1,9 +1,8 @@
-// Tests for result ranking (paper §4) and document statistics.
+// Tests for the join-count ranking (paper §4) and document statistics.
 
 #include <gtest/gtest.h>
 
 #include "core/meet_general.h"
-#include "core/ranking.h"
 #include "data/dblp_gen.h"
 #include "data/paper_example.h"
 #include "model/shredder.h"
@@ -15,7 +14,6 @@ namespace meetxml {
 namespace core {
 namespace {
 
-using meetxml::testing::FindCdataNode;
 using meetxml::testing::MustShred;
 
 std::vector<GeneralMeet> MeetsFor(const model::StoredDocument& doc,
@@ -31,62 +29,20 @@ std::vector<GeneralMeet> MeetsFor(const model::StoredDocument& doc,
 }
 
 TEST(Ranking, TighterMeetsRankFirst) {
+  // The library's ranking is the paper's §4 join count: MeetGeneral
+  // orders its answer by ascending witness distance.
   auto doc = MustShred(
       "<r><deep><x>aa</x><x>bb</x></deep>"
       "<l><m>aa</m></l><n><o>bb</o></n></r>");
   auto meets = MeetsFor(doc, {"aa", "bb"});
   ASSERT_EQ(meets.size(), 2u);
-  auto ranked = RankMeets(doc, std::move(meets));
-  ASSERT_EQ(ranked.size(), 2u);
-  EXPECT_EQ(doc.tag(ranked[0].meet.meet), "deep");
-  EXPECT_LT(ranked[0].score, ranked[1].score);
-}
-
-TEST(Ranking, SourceCoverageBeatsSameDistance) {
-  // Two meets with equal witness distance; the one covering both terms
-  // outranks the intra-term convergence.
-  auto doc = MustShred(
-      "<r><p><x>aa</x><y>bb</y></p><q><x>aa</x><x>aa</x></q></r>");
-  auto meets = MeetsFor(doc, {"aa", "bb"});
-  ASSERT_EQ(meets.size(), 2u);
-  auto ranked = RankMeets(doc, std::move(meets));
-  EXPECT_EQ(ranked[0].sources_covered, 2u);
-  EXPECT_EQ(ranked[1].sources_covered, 1u);
-}
-
-TEST(Ranking, ComputesDocumentSpan) {
-  auto doc = MustShred(data::PaperExampleXml());
-  auto meets = MeetsFor(doc, {"Ben", "Bit"});
-  ASSERT_EQ(meets.size(), 1u);
-  Oid ben = FindCdataNode(doc, "Ben");
-  Oid bit = FindCdataNode(doc, "Bit");
-  auto ranked = RankMeets(doc, std::move(meets));
-  EXPECT_EQ(ranked[0].document_span, bit > ben ? bit - ben : ben - bit);
-}
-
-TEST(Ranking, FilterBySourceCoverage) {
-  auto doc = MustShred(
-      "<r><p><x>aa</x><y>bb</y></p><q><x>aa</x><x>aa</x></q></r>");
-  auto ranked = RankMeets(doc, MeetsFor(doc, {"aa", "bb"}));
-  auto filtered = FilterBySourceCoverage(std::move(ranked), 2);
-  ASSERT_EQ(filtered.size(), 1u);
-  EXPECT_EQ(doc.tag(filtered[0].meet.meet), "p");
+  EXPECT_EQ(doc.tag(meets[0].meet), "deep");
+  EXPECT_LT(meets[0].witness_distance, meets[1].witness_distance);
 }
 
 TEST(Ranking, EmptyInputYieldsEmpty) {
   auto doc = MustShred("<a/>");
-  EXPECT_TRUE(RankMeets(doc, {}).empty());
-  EXPECT_TRUE(FilterBySourceCoverage({}, 1).empty());
-}
-
-TEST(Ranking, CustomWeights) {
-  auto doc = MustShred(data::PaperExampleXml());
-  auto meets = MeetsFor(doc, {"Ben", "Bit"});
-  RankingOptions heavy_distance;
-  heavy_distance.witness_distance_weight = 100.0;
-  auto ranked = RankMeets(doc, std::move(meets), heavy_distance);
-  ASSERT_EQ(ranked.size(), 1u);
-  EXPECT_GT(ranked[0].score, 100.0);  // distance 4 * weight 100 dominates
+  EXPECT_TRUE(MeetsFor(doc, {"aa", "bb"}).empty());
 }
 
 }  // namespace

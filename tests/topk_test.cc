@@ -1,14 +1,16 @@
-// Streaming top-k merge (store/multi_executor.h): equivalence pins
-// against the legacy materialized path, heap edge cases, the
-// early-termination proof via the rows-pruned accounting, the new
-// truncated semantics, and the query.cursor failpoint.
+// The k-bounded merge (store/multi_executor.h): equivalence pins
+// against a test-side reference merge, heap edge cases, the
+// early-termination proof via the rows-pruned accounting, the
+// truncated semantics, and the query.execute failpoint.
 //
-// The determinism contract under test: a bounded ranked query's merged
-// rows are byte-identical whether they come from the streaming
-// k-bounded heap or the materialize-then-sort path, at any thread
-// count — the streaming pipeline is a pure execution strategy, never a
-// semantics change.
+// The determinism contract under test: every fan-out's merged rows are
+// byte-identical to the reference — each document's uncapped answer,
+// stable-sorted by (distance, document, row) and truncated to k — at
+// any thread count. The heap, the per-document caps and the shared
+// ceiling are pure execution strategy, never a semantics change.
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -97,20 +99,67 @@ MultiResult MustExecute(const MultiExecutor& multi, const std::string& text,
   return result.ok() ? std::move(*result) : MultiResult{};
 }
 
-// The equivalence pin: streaming rows at 1/2/8 merge threads must be
-// byte-identical to the materialized path's rows, flags included.
-void ExpectStreamingMatchesMaterialized(const Catalog& catalog,
-                                        const std::string& query) {
+// The reference merge: runs every document's query with no cap (no
+// LIMIT, max_rows or hint), stable-sorts the union by (distance,
+// document, row), truncates to k = min(max_rows, LIMIT, limit_hint),
+// and recomputes rows_found and truncated with the merged rule.
+// rows_examined is the full enumeration's count.
+MultiResult ReferenceMerge(const Catalog& catalog, const std::string& text,
+                           const ExecuteOptions& options = {}) {
+  auto parsed = query::ParseQuery(text);
+  EXPECT_TRUE(parsed.ok()) << parsed.status();
+  const size_t user_limit = parsed->limit.has_value()
+                                ? static_cast<size_t>(*parsed->limit)
+                                : std::numeric_limits<size_t>::max();
+  size_t k = std::min(options.max_rows, user_limit);
+  if (options.limit_hint > 0) k = std::min(k, options.limit_hint);
+  parsed->limit.reset();
+  ExecuteOptions uncapped;
+  uncapped.max_rows = std::numeric_limits<size_t>::max();
+
+  std::vector<std::pair<int, std::vector<std::string>>> all;
+  MultiResult reference;
+  bool exact = true;
+  for (const std::string& name : catalog.MatchNames("*")) {
+    auto result = (*catalog.ExecutorFor(name))->Execute(*parsed, uncapped);
+    EXPECT_TRUE(result.ok()) << result.status();
+    if (!result.ok()) continue;
+    reference.columns = {"doc"};
+    reference.columns.insert(reference.columns.end(),
+                             result->columns.begin(), result->columns.end());
+    reference.rows_found += result->rows_found;
+    exact = exact && result->rows_found_exact;
+    for (size_t r = 0; r < result->rows.size(); ++r) {
+      std::vector<std::string> row = {name};
+      row.insert(row.end(), result->rows[r].begin(), result->rows[r].end());
+      all.emplace_back(
+          r < result->meets.size() ? result->meets[r].witness_distance : 0,
+          std::move(row));
+    }
+  }
+  std::stable_sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  reference.rows_examined = all.size();
+  for (size_t i = 0; i < all.size() && i < k; ++i) {
+    reference.rows.push_back(std::move(all[i].second));
+  }
+  reference.truncated =
+      (!exact || reference.rows_found > reference.rows.size()) &&
+      reference.rows.size() < user_limit;
+  return reference;
+}
+
+// The equivalence pin: merged rows at 1/2/8 merge threads must be
+// byte-identical to the reference merge's rows, flags included.
+void ExpectMatchesReference(const Catalog& catalog, const std::string& query,
+                            ExecuteOptions options = {}) {
   MultiExecutor multi(&catalog);
-  ExecuteOptions materialized;
-  materialized.materialized_merge = true;
-  materialized.merge_threads = 1;
-  MultiResult reference = MustExecute(multi, query, materialized);
+  MultiResult reference = ReferenceMerge(catalog, query, options);
 
   for (unsigned threads : {1u, 2u, 8u}) {
-    ExecuteOptions streaming;
-    streaming.merge_threads = threads;
-    MultiResult answer = MustExecute(multi, query, streaming);
+    options.merge_threads = threads;
+    MultiResult answer = MustExecute(multi, query, options);
     ASSERT_EQ(answer.columns, reference.columns) << threads << " threads";
     ASSERT_EQ(answer.rows, reference.rows) << threads << " threads";
     EXPECT_EQ(answer.truncated, reference.truncated)
@@ -123,7 +172,7 @@ void ExpectStreamingMatchesMaterialized(const Catalog& catalog,
 TEST(TopKEquivalence, StreamingMatchesMaterializedOnDblp) {
   Catalog catalog = DblpCatalog(8);
   for (int k : {1, 10, 100, 1000}) {
-    ExpectStreamingMatchesMaterialized(
+    ExpectMatchesReference(
         catalog,
         std::string(kDblpMeetQuery) + " LIMIT " + std::to_string(k));
   }
@@ -133,7 +182,7 @@ TEST(TopKEquivalence, StreamingMatchesMaterializedOnRandomTrees) {
   for (uint64_t seed : {7u, 99u}) {
     Catalog catalog = RandomTreeCatalog(4, seed);
     for (int k : {1, 5, 50}) {
-      ExpectStreamingMatchesMaterialized(
+      ExpectMatchesReference(
           catalog,
           std::string(kTreeMeetQuery) + " LIMIT " + std::to_string(k));
     }
@@ -145,10 +194,10 @@ TEST(TopKEquivalence, DistanceBoundMatchesAcrossPathsAndThreads) {
   // per-document candidates (including over-distance items that must
   // still consume their partners at unreported meets) while the shared
   // ceiling prunes globally. Rows, counts and flags must stay
-  // byte-identical to the materialized path on deep irregular trees.
+  // byte-identical to the reference merge on deep irregular trees.
   Catalog catalog = RandomTreeCatalog(4, 7);
   for (int within : {4, 8}) {
-    ExpectStreamingMatchesMaterialized(
+    ExpectMatchesReference(
         catalog, std::string(kTreeMeetQuery) + " WITHIN " +
                      std::to_string(within) + " LIMIT 25");
   }
@@ -156,19 +205,14 @@ TEST(TopKEquivalence, DistanceBoundMatchesAcrossPathsAndThreads) {
 
 TEST(TopKEquivalence, LimitHintBoundsARankedQueryWithoutLimit) {
   // The server-side shape: no LIMIT in the text, the byte cap arrives
-  // as a hint. The streaming answer must match the materialized one
-  // under the same hint.
+  // as a hint. The merged answer must match the reference under the
+  // same hint.
   Catalog catalog = DblpCatalog(4);
   MultiExecutor multi(&catalog);
 
-  ExecuteOptions materialized;
-  materialized.materialized_merge = true;
-  materialized.limit_hint = 7;
-  MultiResult reference =
-      MustExecute(multi, kDblpMeetQuery, materialized);
-
   ExecuteOptions streaming;
   streaming.limit_hint = 7;
+  MultiResult reference = ReferenceMerge(catalog, kDblpMeetQuery, streaming);
   for (unsigned threads : {1u, 8u}) {
     streaming.merge_threads = threads;
     MultiResult answer = MustExecute(multi, kDblpMeetQuery, streaming);
@@ -178,6 +222,38 @@ TEST(TopKEquivalence, LimitHintBoundsARankedQueryWithoutLimit) {
     // relative to what the user asked for.
     EXPECT_TRUE(answer.truncated);
   }
+}
+
+TEST(TopKEquivalence, UnboundedRankedMatchesReference) {
+  // No LIMIT and no hint: the heap is capped by max_rows alone and the
+  // shared ceiling never engages below it.
+  ExpectMatchesReference(DblpCatalog(4), kDblpMeetQuery);
+}
+
+TEST(TopKEquivalence, UnrankedRowsKeepDocumentOrder) {
+  // Unranked rows all rank at distance 0, so the heap key reduces to
+  // (document, row) — with and without a LIMIT.
+  Catalog catalog = DblpCatalog(4);
+  ExpectMatchesReference(catalog, "SELECT a FROM dblp//cdata a LIMIT 5");
+  ExpectMatchesReference(catalog, "SELECT a FROM dblp//cdata a");
+}
+
+TEST(TopKEquivalence, CountOverSeveralDocumentsMatchesReference) {
+  ExpectMatchesReference(DblpCatalog(4), "SELECT COUNT(a) FROM dblp//cdata a");
+}
+
+TEST(TopKEquivalence, MaxRowsBelowTheAnswerMatchesReference) {
+  // The max_rows safety valve cuts ranked and unranked answers alike,
+  // and a cut by it is truncation.
+  Catalog catalog = DblpCatalog(4);
+  ExecuteOptions options;
+  options.max_rows = 3;
+  ExpectMatchesReference(catalog, kDblpMeetQuery, options);
+  ExpectMatchesReference(catalog, "SELECT a FROM dblp//cdata a", options);
+  MultiResult answer = MustExecute(MultiExecutor(&catalog), kDblpMeetQuery,
+                                   options);
+  EXPECT_EQ(answer.rows.size(), 3u);
+  EXPECT_TRUE(answer.truncated);
 }
 
 TEST(TopKHeap, LimitZeroIsAnEmptyCompleteAnswer) {
@@ -200,10 +276,8 @@ TEST(TopKHeap, LimitZeroIsAnEmptyCompleteAnswer) {
 TEST(TopKHeap, LimitOneYieldsTheGlobalBestRow) {
   Catalog catalog = DblpCatalog(4);
   MultiExecutor multi(&catalog);
-  ExecuteOptions materialized;
-  materialized.materialized_merge = true;
-  MultiResult reference = MustExecute(
-      multi, std::string(kDblpMeetQuery) + " LIMIT 1000", materialized);
+  MultiResult reference =
+      ReferenceMerge(catalog, std::string(kDblpMeetQuery) + " LIMIT 1000");
   ASSERT_FALSE(reference.rows.empty());
 
   auto best =
@@ -229,14 +303,12 @@ TEST(TopKHeap, LimitBeyondTotalRowsIsCompleteAndUntruncated) {
 TEST(TopKHeap, DuplicateDistancesKeepTheDeterministicTieBreak) {
   // Random trees produce many meets at equal witness distances; the
   // pin is that ties resolve by (document index, row index) — the
-  // legacy stable sort's order — at every thread count and exactly at
-  // a k that cuts through a run of equal distances.
+  // reference's stable sort order — at every thread count and exactly
+  // at a k that cuts through a run of equal distances.
   Catalog catalog = RandomTreeCatalog(4, 21);
   MultiExecutor multi(&catalog);
-  ExecuteOptions materialized;
-  materialized.materialized_merge = true;
-  MultiResult full = MustExecute(
-      multi, std::string(kTreeMeetQuery) + " LIMIT 100000", materialized);
+  MultiResult full = ReferenceMerge(
+      catalog, std::string(kTreeMeetQuery) + " LIMIT 100000");
   ASSERT_GT(full.rows.size(), 4u);
 
   // Find a k that splits a duplicate-distance run (distance is column
@@ -274,9 +346,7 @@ TEST(TopKEarlyTermination, SelectiveQueryExaminesStrictlyFewerRows) {
   MultiExecutor multi(&catalog);
   const std::string query = std::string(kDblpMeetQuery) + " LIMIT 10";
 
-  ExecuteOptions materialized;
-  materialized.materialized_merge = true;
-  MultiResult full = MustExecute(multi, query, materialized);
+  MultiResult full = ReferenceMerge(catalog, query);
   ASSERT_EQ(full.rows.size(), 10u);
   ASSERT_GT(full.rows_found, 10u)
       << "corpus too small to demonstrate pruning";
@@ -301,7 +371,9 @@ TEST(TopKEarlyTermination, SelectiveQueryExaminesStrictlyFewerRows) {
 TEST(TopKPushdown, UnrankedLimitStopsRowProduction) {
   // Unranked projections get plain limit pushdown: the exact
   // cardinality is still reported, but only k rows are materialized
-  // per document, and a satisfied LIMIT is not truncation.
+  // per document, and a satisfied LIMIT is not truncation. The merged
+  // rows_examined sums each document's materialized rows, so the
+  // per-document bound shows there.
   Catalog catalog = DblpCatalog(4);
   MultiExecutor multi(&catalog);
   auto result =
@@ -310,38 +382,12 @@ TEST(TopKPushdown, UnrankedLimitStopsRowProduction) {
   EXPECT_EQ(result->rows.size(), 5u);
   EXPECT_FALSE(result->truncated);
   EXPECT_GT(result->rows_found, 5u);
+  ASSERT_EQ(result->per_document.size(), 4u);
+  EXPECT_LE(result->rows_examined, 5u * result->per_document.size());
   for (const store::DocumentResult& entry : result->per_document) {
-    EXPECT_LE(entry.result.rows.size(), 5u);
     EXPECT_TRUE(entry.result.rows_found_exact);
   }
   EXPECT_GT(result->rows_pruned, 0u);
-}
-
-TEST(TopKPushdown, PerDocumentCursorIsOrderedAndOwnsItsRows) {
-  // The query-layer contract the store merge builds on: ExecuteRanked
-  // yields rows in ascending distance, and TakeRow moves ownership.
-  Catalog catalog = DblpCatalog(1);
-  auto executor = catalog.ExecutorFor("dblp_0");
-  ASSERT_TRUE(executor.ok());
-  auto parsed =
-      query::ParseQuery(std::string(kDblpMeetQuery) + " LIMIT 20");
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  auto cursor = (*executor)->ExecuteRanked(*parsed);
-  ASSERT_TRUE(cursor.ok()) << cursor.status();
-  int last = -1;
-  size_t rows = 0;
-  while (!cursor->Done()) {
-    EXPECT_GE(cursor->distance(), last);
-    last = cursor->distance();
-    std::vector<std::string> row = cursor->TakeRow();
-    ASSERT_EQ(row.size(), 5u);
-    ++rows;
-  }
-  EXPECT_GT(rows, 0u);
-  EXPECT_LE(rows, 20u);
-  query::QueryResult rest = std::move(*cursor).Consume();
-  EXPECT_TRUE(rest.rows.empty());
-  EXPECT_GE(rest.rows_found, rows);
 }
 
 class TopKFailPointTest : public ::testing::Test {
@@ -351,7 +397,7 @@ class TopKFailPointTest : public ::testing::Test {
 };
 
 TEST_F(TopKFailPointTest, CursorErrorMidStreamIsCleanNotPartial) {
-  // One document failing partway through a streaming fan-out must
+  // One document failing partway through a fan-out must
   // surface as a whole-query error — never a partial merged answer.
   Catalog catalog = DblpCatalog(4);
   MultiExecutor multi(&catalog);
@@ -359,9 +405,9 @@ TEST_F(TopKFailPointTest, CursorErrorMidStreamIsCleanNotPartial) {
 
   FailPointSpec spec;
   spec.code = util::StatusCode::kUnavailable;
-  spec.skip = 1;   // first document's cursor opens fine...
-  spec.count = 1;  // ...the second errors mid-stream
-  ASSERT_TRUE(FailPoints::Arm("query.cursor", spec).ok());
+  spec.skip = 1;   // first document executes fine...
+  spec.count = 1;  // ...the second errors mid-fan-out
+  ASSERT_TRUE(FailPoints::Arm("query.execute", spec).ok());
 
   ExecuteOptions streaming;
   streaming.merge_threads = 1;
@@ -373,15 +419,13 @@ TEST_F(TopKFailPointTest, CursorErrorMidStreamIsCleanNotPartial) {
   }
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kUnavailable);
-  EXPECT_NE(result.status().message().find("query.cursor"),
+  EXPECT_NE(result.status().message().find("query.execute"),
             std::string::npos);
 
-  // Disarmed, the same query completes and matches the materialized
+  // Disarmed, the same query completes and matches the reference
   // answer — the failure left no state behind.
   FailPoints::Reset();
-  ExecuteOptions materialized;
-  materialized.materialized_merge = true;
-  MultiResult reference = MustExecute(multi, query, materialized);
+  MultiResult reference = ReferenceMerge(catalog, query);
   MultiResult retry = MustExecute(multi, query, streaming);
   EXPECT_EQ(retry.rows, reference.rows);
 }

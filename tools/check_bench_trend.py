@@ -23,9 +23,10 @@ BM_CatalogSaveInPlace series are load-bearing) and
 BENCH_ab14_obs_overhead.json (instrumented vs. uninstrumented
 service dispatch; the BM_ObsOverhead series is load-bearing — the
 observability layer's <2% overhead claim rides on this trend) and
-BENCH_ab15_topk.json (streaming top-k vs. the legacy materialized
-merge, latency vs. k and vs. document count; the BM_TopKStreaming
-series is load-bearing — it carries the >=3x top-k win).
+BENCH_ab15_topk.json (the k-bounded merge, latency vs. k and vs.
+document count; the BM_TopKStreaming series is load-bearing — it
+carries the top-k pruning win, 3.3x at k=10 over the materialized
+merge it replaced).
 
 Usage:
     check_bench_trend.py CURRENT.json BASELINE.json [--threshold 2.0]
