@@ -188,7 +188,9 @@ void PrintSessionStats() {
   std::printf("rows returned       %llu\n"
               "catalog opens       %llu\n"
               "lazy decodes        %llu\n"
-              "text index builds   %llu\n",
+              "text index builds   %llu\n"
+              "bind values scanned %llu\n"
+              "bind postings read  %llu\n",
               static_cast<unsigned long long>(
                   registry.counter("meetxml_query_rows_total").Value()),
               static_cast<unsigned long long>(
@@ -198,6 +200,12 @@ void PrintSessionStats() {
                       .Value()),
               static_cast<unsigned long long>(
                   registry.counter("meetxml_text_index_builds_total")
+                      .Value()),
+              static_cast<unsigned long long>(
+                  registry.counter("meetxml_query_bind_values_scanned_total")
+                      .Value()),
+              static_cast<unsigned long long>(
+                  registry.counter("meetxml_query_bind_postings_total")
                       .Value()));
 }
 

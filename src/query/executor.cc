@@ -1,6 +1,8 @@
 #include "query/executor.h"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -40,12 +42,37 @@ constexpr uint64_t kMaxGraphMeetPairs = 10000;
 // Default reach of the GMEET BFS when no WITHIN/DISTANCE bound is set.
 constexpr int kDefaultGraphMeetReach = 64;
 
-bool ValueSatisfies(const Predicate& predicate, std::string_view value,
-                    const text::Thesaurus& thesaurus) {
+// One predicate tree prepared for per-value tests: the literal-derived
+// match data (SYNONYM expansions, PHRASE tokens) is computed once per
+// binding, not once per value.
+struct ValueTest {
+  const BoolExpr* expr = nullptr;
+  std::vector<std::string> terms;
+  std::vector<ValueTest> children;
+};
+
+ValueTest PrepareValueTest(const BoolExpr& expr,
+                           const text::Thesaurus& thesaurus) {
+  ValueTest test;
+  test.expr = &expr;
+  if (expr.op == BoolExpr::Op::kLeaf) {
+    if (expr.leaf.kind == Predicate::Kind::kSynonym) {
+      test.terms = thesaurus.Expand(expr.leaf.literal);
+    } else if (expr.leaf.kind == Predicate::Kind::kPhrase) {
+      test.terms = text::Tokenize(expr.leaf.literal);
+    }
+  }
+  for (const BoolExpr& child : expr.children) {
+    test.children.push_back(PrepareValueTest(child, thesaurus));
+  }
+  return test;
+}
+
+bool ValueSatisfies(const ValueTest& test, std::string_view value) {
+  const Predicate& predicate = test.expr->leaf;
   switch (predicate.kind) {
     case Predicate::Kind::kSynonym:
-      for (const std::string& synonym :
-           thesaurus.Expand(predicate.literal)) {
+      for (const std::string& synonym : test.terms) {
         if (util::ContainsIgnoreCase(value, synonym)) return true;
       }
       return false;
@@ -55,16 +82,10 @@ bool ValueSatisfies(const Predicate& predicate, std::string_view value,
       return util::ContainsIgnoreCase(value, predicate.literal);
     case Predicate::Kind::kEquals:
       return value == predicate.literal;
-    case Predicate::Kind::kWord: {
-      text::TokenizerOptions options;
-      std::vector<std::string> tokens = text::Tokenize(value, options);
-      std::string needle = util::ToLowerAscii(predicate.literal);
-      return std::find(tokens.begin(), tokens.end(), needle) !=
-             tokens.end();
-    }
+    case Predicate::Kind::kWord:
+      return text::MatchesWord(value, predicate.literal);
     case Predicate::Kind::kPhrase:
-      return text::MatchesPhrase(value,
-                                 text::Tokenize(predicate.literal));
+      return text::MatchesPhrase(value, test.terms);
     case Predicate::Kind::kDistanceLe:
       return true;  // handled at projection level
   }
@@ -73,25 +94,117 @@ bool ValueSatisfies(const Predicate& predicate, std::string_view value,
 
 // Evaluates a single-variable boolean predicate tree on one string
 // value.
-bool ExprSatisfies(const BoolExpr& expr, std::string_view value,
-                   const text::Thesaurus& thesaurus) {
-  switch (expr.op) {
+bool ExprSatisfies(const ValueTest& test, std::string_view value) {
+  switch (test.expr->op) {
     case BoolExpr::Op::kLeaf:
-      return ValueSatisfies(expr.leaf, value, thesaurus);
+      return ValueSatisfies(test, value);
     case BoolExpr::Op::kNot:
-      return !ExprSatisfies(expr.children.front(), value, thesaurus);
+      return !ExprSatisfies(test.children.front(), value);
     case BoolExpr::Op::kAnd:
-      for (const BoolExpr& child : expr.children) {
-        if (!ExprSatisfies(child, value, thesaurus)) return false;
+      for (const ValueTest& child : test.children) {
+        if (!ExprSatisfies(child, value)) return false;
       }
       return true;
     case BoolExpr::Op::kOr:
-      for (const BoolExpr& child : expr.children) {
-        if (ExprSatisfies(child, value, thesaurus)) return true;
+      for (const ValueTest& child : test.children) {
+        if (ExprSatisfies(child, value)) return true;
       }
       return false;
   }
   return false;
+}
+
+// The index mode of a leaf, if the index can answer that kind at all.
+std::optional<text::MatchMode> IndexMode(const Predicate& predicate) {
+  switch (predicate.kind) {
+    case Predicate::Kind::kContains:
+      if (predicate.literal.size() < 3) return std::nullopt;
+      return text::MatchMode::kContains;
+    case Predicate::Kind::kWord:
+      return text::MatchMode::kWord;
+    case Predicate::Kind::kPhrase:
+      return text::MatchMode::kPhrase;
+    default:
+      return std::nullopt;
+  }
+}
+
+// Whether `expr` can have an index path at all — decided before the
+// index exists, so a binding that cannot use it never builds it.
+bool MayUseIndex(const BoolExpr& expr) {
+  switch (expr.op) {
+    case BoolExpr::Op::kLeaf:
+      return IndexMode(expr.leaf).has_value();
+    case BoolExpr::Op::kNot:
+      return false;
+    case BoolExpr::Op::kAnd:
+      return std::any_of(expr.children.begin(), expr.children.end(),
+                         MayUseIndex);
+    case BoolExpr::Op::kOr:
+      return std::all_of(expr.children.begin(), expr.children.end(),
+                         MayUseIndex);
+  }
+  return false;
+}
+
+// A predicate tree as set algebra over the postings of `paths`: the
+// postings whose value satisfies it, or nullopt when it has no index
+// path. Clears `*exact` when the set is only a superset — an AND with a
+// child that has no index path — so the caller still filters it.
+std::optional<std::vector<text::Posting>> IndexSet(
+    const BoolExpr& expr, const text::FullTextSearch& search,
+    const std::vector<PathId>& paths, size_t* postings_read, bool* exact) {
+  switch (expr.op) {
+    case BoolExpr::Op::kLeaf: {
+      std::optional<text::MatchMode> mode = IndexMode(expr.leaf);
+      if (!mode.has_value()) return std::nullopt;
+      return search.SearchOn(expr.leaf.literal, *mode, paths,
+                             postings_read);
+    }
+    case BoolExpr::Op::kNot:
+      return std::nullopt;
+    case BoolExpr::Op::kOr: {
+      std::vector<text::Posting> out;
+      for (const BoolExpr& child : expr.children) {
+        std::optional<std::vector<text::Posting>> set =
+            IndexSet(child, search, paths, postings_read, exact);
+        if (!set.has_value()) return std::nullopt;
+        std::vector<text::Posting> merged;
+        std::set_union(out.begin(), out.end(), set->begin(), set->end(),
+                       std::back_inserter(merged));
+        out = std::move(merged);
+      }
+      return out;
+    }
+    case BoolExpr::Op::kAnd: {
+      std::optional<std::vector<text::Posting>> out;
+      for (const BoolExpr& child : expr.children) {
+        std::optional<std::vector<text::Posting>> set =
+            IndexSet(child, search, paths, postings_read, exact);
+        if (!set.has_value()) {
+          *exact = false;
+          continue;
+        }
+        out = out.has_value() ? text::IntersectPostings({&*out, &*set})
+                              : std::move(*set);
+      }
+      return out;
+    }
+  }
+  return std::nullopt;
+}
+
+// Binding work counters: string values a filter or scan tested, and
+// postings read from the index.
+obs::Counter* ValuesScannedCounter() {
+  static obs::Counter* counter = &obs::MetricsRegistry::Global().counter(
+      "meetxml_query_bind_values_scanned_total");
+  return counter;
+}
+obs::Counter* PostingsReadCounter() {
+  static obs::Counter* counter = &obs::MetricsRegistry::Global().counter(
+      "meetxml_query_bind_postings_total");
+  return counter;
 }
 
 // The variable a (checked, single-variable) conjunct tree tests.
@@ -208,7 +321,7 @@ void Executor::InstallTextSearch(text::FullTextSearch search) {
 }
 
 Result<std::vector<AssocSet>> Executor::EvaluateBinding(
-    const Query& query, const Binding& binding) const {
+    const Query& query, const Binding& binding, BindingPlan* plan) const {
   const StoredDocument& doc = *doc_;
   MEETXML_ASSIGN_OR_RETURN(std::vector<PathId> paths,
                            MatchPattern(doc.paths(), binding.pattern));
@@ -222,84 +335,127 @@ Result<std::vector<AssocSet>> Executor::EvaluateBinding(
     }
   }
 
-  // Index anchor: when some conjunct is a bare CONTAINS leaf, its
-  // trigram-accelerated match set is a superset of the binding — probe
-  // the index and verify the remaining predicates on the (few)
-  // candidates instead of scanning every string relation.
-  const Predicate* anchor = nullptr;
-  for (const BoolExpr* conjunct : string_preds) {
-    if (conjunct->op == BoolExpr::Op::kLeaf &&
-        conjunct->leaf.kind == Predicate::Kind::kContains) {
-      anchor = &conjunct->leaf;
-      break;
+  // Paths the index can answer: sorted relations with one value per
+  // owner (always so for cdata, checked for attributes), where a
+  // posting stands for exactly one value. Ascending, as MatchPattern
+  // returns them.
+  std::vector<PathId> index_paths;
+  if (std::any_of(string_preds.begin(), string_preds.end(),
+                  [](const BoolExpr* conjunct) {
+                    return MayUseIndex(*conjunct);
+                  })) {
+    for (PathId path : paths) {
+      StepKind kind = doc.paths().kind(path);
+      if (kind == StepKind::kElement || !doc.StringRelationSorted(path)) {
+        continue;
+      }
+      std::span<const Oid> heads = doc.StringsAt(path).heads();
+      if (kind == StepKind::kAttribute &&
+          std::adjacent_find(heads.begin(), heads.end()) != heads.end()) {
+        continue;
+      }
+      index_paths.push_back(path);
     }
   }
-  std::unordered_map<PathId, std::vector<Oid>> anchor_hits;
-  if (anchor != nullptr) {
+
+  // Set algebra over postings: the candidates every indexed conjunct
+  // admits; the rest become per-value filters on them.
+  BindingPlan local_plan;
+  BindingPlan& chosen = plan != nullptr ? *plan : local_plan;
+  chosen = BindingPlan{};
+  std::optional<std::vector<text::Posting>> candidates;
+  size_t postings_read = 0;
+  if (!index_paths.empty()) {
     MEETXML_ASSIGN_OR_RETURN(const text::FullTextSearch* search,
                              EnsureSearch());
-    MEETXML_ASSIGN_OR_RETURN(
-        text::TermMatches matches,
-        search->Search(anchor->literal, text::MatchMode::kContains));
-    for (core::AssocSet& set : matches.sets) {
-      anchor_hits.emplace(set.path, std::move(set.nodes));
+    for (const BoolExpr* conjunct : string_preds) {
+      bool exact = true;
+      std::optional<std::vector<text::Posting>> set =
+          IndexSet(*conjunct, *search, index_paths, &postings_read, &exact);
+      if (!set.has_value() || !exact) chosen.filters.push_back(conjunct);
+      if (!set.has_value()) continue;
+      chosen.indexed.push_back(conjunct);
+      candidates = candidates.has_value()
+                       ? text::IntersectPostings({&*candidates, &*set})
+                       : std::move(*set);
     }
+  }
+  if (!candidates.has_value()) {
+    chosen.filters = string_preds;
+    index_paths.clear();
+  }
+
+  // Per-value tests: the filters on the index's candidates, and every
+  // conjunct on the paths that scan.
+  auto prepare = [this](const std::vector<const BoolExpr*>& conjuncts) {
+    std::vector<ValueTest> tests;
+    for (const BoolExpr* conjunct : conjuncts) {
+      tests.push_back(PrepareValueTest(*conjunct, thesaurus_));
+    }
+    return tests;
+  };
+  const std::vector<ValueTest> filters = candidates.has_value()
+                                             ? prepare(chosen.filters)
+                                             : std::vector<ValueTest>();
+  const std::vector<ValueTest> scans = prepare(string_preds);
+  size_t values_scanned = 0;
+  auto passes = [&values_scanned](const std::vector<ValueTest>& tests,
+                                  std::string_view value) {
+    if (tests.empty()) return true;
+    ++values_scanned;
+    for (const ValueTest& test : tests) {
+      if (!ExprSatisfies(test, value)) return false;
+    }
+    return true;
+  };
+
+  if (candidates.has_value() && !filters.empty()) {
+    text::RetainMatchingPostings(
+        doc, [&](std::string_view value) { return passes(filters, value); },
+        &*candidates);
   }
 
   std::vector<AssocSet> sets;
   for (PathId path : paths) {
     StepKind kind = doc.paths().kind(path);
-    if (!string_preds.empty() && kind == StepKind::kElement) {
+    AssocSet set;
+    set.path = path;
+    if (kind == StepKind::kElement) {
       // String predicates apply to string-valued associations; element
       // paths in the pattern's match set simply contribute nothing
       // (bind //cdata or @attr to search text).
-      continue;
-    }
-    AssocSet set;
-    set.path = path;
-    auto passes = [this, &string_preds](std::string_view value) {
-      for (const BoolExpr* predicate : string_preds) {
-        if (!ExprSatisfies(*predicate, value, thesaurus_)) return false;
-      }
-      return true;
-    };
-    if (kind == StepKind::kAttribute || kind == StepKind::kCdata) {
-      if (anchor != nullptr) {
-        // Verify the anchor's candidates for this path.
-        auto it = anchor_hits.find(path);
-        if (it != anchor_hits.end()) {
-          for (Oid owner : it->second) {
-            for (std::string_view value :
-                 doc.StringValuesAt(path, owner)) {
-              if (passes(value)) {
-                set.nodes.push_back(owner);
-                break;
-              }
-            }
-          }
-        }
-      } else {
-        const model::OidStrBat& table = doc.StringsAt(path);
-        for (size_t row = 0; row < table.size(); ++row) {
-          if (passes(table.tail(row))) {
-            set.nodes.push_back(table.head(row));
-          }
-        }
-        if (kind == StepKind::kAttribute) {
-          std::sort(set.nodes.begin(), set.nodes.end());
-          set.nodes.erase(
-              std::unique(set.nodes.begin(), set.nodes.end()),
-              set.nodes.end());
-        }
-      }
-    } else {
+      if (!string_preds.empty()) continue;
       const model::OidOidBat& edges = doc.EdgesAt(path);
       for (size_t row = 0; row < edges.size(); ++row) {
         set.nodes.push_back(edges.tail(row));
       }
+    } else if (std::binary_search(index_paths.begin(), index_paths.end(),
+                                  path)) {
+      auto begin = std::lower_bound(
+          candidates->begin(), candidates->end(), path,
+          [](const text::Posting& p, PathId v) { return p.path < v; });
+      for (auto it = begin; it != candidates->end() && it->path == path;
+           ++it) {
+        set.nodes.push_back(it->owner);
+      }
+    } else {
+      if (!index_paths.empty()) ++chosen.scanned_paths;
+      const model::OidStrBat& table = doc.StringsAt(path);
+      for (size_t row = 0; row < table.size(); ++row) {
+        if (passes(scans, table.tail(row))) {
+          set.nodes.push_back(table.head(row));
+        }
+      }
+      if (kind == StepKind::kAttribute) {
+        std::sort(set.nodes.begin(), set.nodes.end());
+        set.nodes.erase(std::unique(set.nodes.begin(), set.nodes.end()),
+                        set.nodes.end());
+      }
     }
     if (!set.nodes.empty()) sets.push_back(std::move(set));
   }
+  ValuesScannedCounter()->Add(values_scanned);
+  PostingsReadCounter()->Add(postings_read);
   return sets;
 }
 
@@ -664,6 +820,57 @@ const char* ProjectionName(Projection::Kind kind) {
   return "?";
 }
 
+const char* PredicateName(Predicate::Kind kind) {
+  switch (kind) {
+    case Predicate::Kind::kContains: return "CONTAINS";
+    case Predicate::Kind::kIcontains: return "ICONTAINS";
+    case Predicate::Kind::kWord: return "WORD";
+    case Predicate::Kind::kPhrase: return "PHRASE";
+    case Predicate::Kind::kSynonym: return "SYNONYM";
+    case Predicate::Kind::kEquals: return "=";
+    case Predicate::Kind::kDistanceLe: return "DISTANCE <=";
+  }
+  return "?";
+}
+
+// Appends a conjunct tree as query text; runs of the same AND/OR
+// print flat. (Appends rather than operator+ chains: GCC 12 raises a
+// -Wrestrict false positive on those under heavy inlining.)
+void DescribeExpr(const BoolExpr& expr, std::string* out) {
+  auto operand = [&expr, out](const BoolExpr& child) {
+    bool flat = child.op == BoolExpr::Op::kLeaf ||
+                (child.op == expr.op && expr.op != BoolExpr::Op::kNot);
+    if (!flat) out->push_back('(');
+    DescribeExpr(child, out);
+    if (!flat) out->push_back(')');
+  };
+  switch (expr.op) {
+    case BoolExpr::Op::kLeaf: {
+      // Quote with whichever quote the literal does not contain.
+      char quote =
+          expr.leaf.literal.find('\'') == std::string::npos ? '\'' : '"';
+      out->append(expr.leaf.var);
+      out->push_back(' ');
+      out->append(PredicateName(expr.leaf.kind));
+      out->push_back(' ');
+      out->push_back(quote);
+      out->append(expr.leaf.literal);
+      out->push_back(quote);
+      return;
+    }
+    case BoolExpr::Op::kNot:
+      out->append("NOT ");
+      operand(expr.children.front());
+      return;
+    case BoolExpr::Op::kAnd:
+    case BoolExpr::Op::kOr:
+      operand(expr.children[0]);
+      out->append(expr.op == BoolExpr::Op::kAnd ? " AND " : " OR ");
+      operand(expr.children[1]);
+      return;
+  }
+}
+
 }  // namespace
 
 Result<std::string> Executor::Explain(const Query& query) const {
@@ -674,8 +881,9 @@ Result<std::string> Executor::Explain(const Query& query) const {
   for (const Binding& binding : query.bindings) {
     MEETXML_ASSIGN_OR_RETURN(std::vector<PathId> paths,
                              MatchPattern(doc.paths(), binding.pattern));
+    BindingPlan plan;
     MEETXML_ASSIGN_OR_RETURN(std::vector<AssocSet> filtered,
-                             EvaluateBinding(query, binding));
+                             EvaluateBinding(query, binding, &plan));
     size_t raw = 0;
     for (PathId path : paths) {
       raw += doc.EdgesAt(path).size() + (doc.paths().kind(path) ==
@@ -694,6 +902,30 @@ Result<std::string> Executor::Explain(const Query& query) const {
     for (PathId path : paths) {
       std::snprintf(line, sizeof(line), "    %s\n",
                     doc.paths().ToString(path).c_str());
+      out += line;
+    }
+    // Per conjunct: answered from the index, a filter on its
+    // candidates, or both; with nothing indexed, every path scans.
+    auto listed = [](const std::vector<const BoolExpr*>& list,
+                     const BoolExpr* conjunct) {
+      return std::find(list.begin(), list.end(), conjunct) != list.end();
+    };
+    for (const BoolExpr& conjunct : query.where) {
+      bool indexed = listed(plan.indexed, &conjunct);
+      bool filtered = listed(plan.filters, &conjunct);
+      if (!indexed && !filtered) continue;
+      out += plan.indexed.empty() ? "  scan: "
+             : !filtered          ? "  index: "
+             : indexed            ? "  index, then filter: "
+                                  : "  filter: ";
+      DescribeExpr(conjunct, &out);
+      out += "\n";
+    }
+    if (plan.scanned_paths > 0) {
+      std::snprintf(line, sizeof(line),
+                    "  scan: %zu paths with unsorted or multi-valued "
+                    "relations\n",
+                    plan.scanned_paths);
       out += line;
     }
   }

@@ -92,8 +92,9 @@ struct QueryResult {
 /// \brief Executes queries against one stored document.
 ///
 /// The full-text indexes are built lazily, on the first query with a
-/// text predicate — purely structural queries never pay the index tax —
-/// or installed up front from a persisted MXM2 image. Execute() can be
+/// predicate the index can answer (see EvaluateBinding) — structural
+/// and scan-only queries never pay the index tax — or installed up
+/// front from a persisted MXM2 image. Execute() can be
 /// called any number of times (laziness is thread-safe). The document
 /// must outlive the executor.
 class Executor {
@@ -120,8 +121,9 @@ class Executor {
 
   /// \brief Explains a query without running its projection: per
   /// binding the matched schema paths and their cardinalities before
-  /// and after predicate filtering, the resolved restriction clauses,
-  /// and the projection plan.
+  /// and after predicate filtering, and which conjuncts the index
+  /// answered and which were filters (or `scan`); then the resolved
+  /// restriction clauses and the projection plan.
   util::Result<std::string> Explain(const Query& query) const;
   util::Result<std::string> ExplainText(std::string_view text) const;
 
@@ -129,7 +131,8 @@ class Executor {
   const core::IdrefGraph& idref_graph() const { return idrefs_; }
 
   /// \brief True once the full-text engine exists (installed at Build
-  /// or forced by a text predicate). Structural queries leave it false.
+  /// or forced by an indexable predicate). Structural and scan-only
+  /// queries leave it false.
   bool text_index_built() const;
 
   /// \brief The built inverted index, or nullptr when none exists yet.
@@ -171,9 +174,37 @@ class Executor {
            std::unique_ptr<LazySearch> lazy)
       : doc_(doc), idrefs_(std::move(idrefs)), lazy_(std::move(lazy)) {}
 
-  /// Evaluates one binding: pattern match + predicate filtering.
+  /// How EvaluateBinding answered one binding's WHERE conjuncts, for
+  /// Explain: each conjunct is answered from the index, checked as a
+  /// filter on the index's candidates, or both (an AND whose index set
+  /// is only a superset); with no indexed conjunct, every path scans.
+  struct BindingPlan {
+    std::vector<const BoolExpr*> indexed;
+    std::vector<const BoolExpr*> filters;
+    /// Bound string paths that scanned although others used the index:
+    /// their relation is unsorted or holds several values per owner.
+    size_t scanned_paths = 0;
+  };
+
+  /// Evaluates one binding: the pattern's paths, then the WHERE
+  /// conjuncts on the binding's variable, as set algebra over the
+  /// full-text postings of those paths (paper §3.2: match sets grouped
+  /// by relation). A CONTAINS of at least 3 bytes, WORD and PHRASE
+  /// become their path-restricted posting sets (text::FullTextSearch::
+  /// SearchOn); OR is their union when every child has one, AND the
+  /// intersection of the children that do. Conjuncts without an index
+  /// path (ICONTAINS, =, SYNONYM, NOT, short CONTAINS, an OR over any
+  /// of these) and inexact ones are checked per value on the surviving
+  /// candidates. With no indexed conjunct — or on a relation that is
+  /// unsorted or multi-valued per owner — binding scans every value of
+  /// the path, and a binding that never could use the index never
+  /// builds it. Either way the sets follow the pattern's path order,
+  /// their nodes sorted and unique on every sorted relation; element
+  /// paths contribute nothing once a string predicate applies. Fills
+  /// `plan` when non-null.
   util::Result<std::vector<core::AssocSet>> EvaluateBinding(
-      const Query& query, const Binding& binding) const;
+      const Query& query, const Binding& binding,
+      BindingPlan* plan = nullptr) const;
 
   /// The full-text engine, building it on first use.
   util::Result<const text::FullTextSearch*> EnsureSearch() const;

@@ -360,7 +360,16 @@ class ParserImpl {
       return Status::InvalidArgument("expected string literal at offset ",
                                      Peek().position);
     }
+    int literal_position = Peek().position;
     predicate.literal = Advance().text;
+    // An empty search literal has no meaning (every string contains
+    // it); only full-string equality may test for the empty string.
+    if (predicate.literal.empty() &&
+        predicate.kind != Predicate::Kind::kEquals) {
+      return Status::InvalidArgument("empty search literal at offset ",
+                                     literal_position,
+                                     "; only '=' may compare with ''");
+    }
     return node;
   }
 

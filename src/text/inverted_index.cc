@@ -24,14 +24,6 @@ void SortUniquePostings(std::vector<Posting>* postings) {
                   postings->end());
 }
 
-std::vector<Posting> IntersectSorted(const std::vector<Posting>& a,
-                                     const std::vector<Posting>& b) {
-  std::vector<Posting> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
 }  // namespace
 
 Result<InvertedIndex> InvertedIndex::Build(const StoredDocument& doc,
@@ -122,24 +114,63 @@ const std::vector<Posting>& InvertedIndex::LookupWord(
 }
 
 std::optional<std::vector<Posting>> InvertedIndex::TrigramCandidates(
-    std::string_view needle) const {
+    std::string_view needle, const PostingScope& scope) const {
   if (!has_trigrams_ || needle.size() < 3) return std::nullopt;
-  // Probe rarest-first would be nicer; with a handful of trigrams the
-  // straight left-to-right intersection is fine.
-  std::vector<Posting> candidates;
-  bool first = true;
+  std::vector<const std::vector<Posting>*> lists;
   for (size_t i = 0; i + 3 <= needle.size(); ++i) {
     auto it = trigrams_.find(TrigramKey(needle, i));
     if (it == trigrams_.end()) return std::vector<Posting>();
-    if (first) {
-      candidates = it->second;
-      first = false;
-    } else {
-      candidates = IntersectSorted(candidates, it->second);
-      if (candidates.empty()) return candidates;
+    lists.push_back(&it->second);
+  }
+  return IntersectPostings(std::move(lists), scope);
+}
+
+std::vector<Posting> IntersectPostings(
+    std::vector<const std::vector<Posting>*> lists,
+    const PostingScope& scope) {
+  std::vector<Posting> out;
+  if (lists.empty()) return out;
+  std::iter_swap(lists.begin(),
+                 std::min_element(lists.begin(), lists.end(),
+                                  [](const auto* a, const auto* b) {
+                                    return a->size() < b->size();
+                                  }));
+  // Candidates rise, so each other list is probed from where the last
+  // probe landed.
+  std::vector<std::vector<Posting>::const_iterator> cursors;
+  for (const std::vector<Posting>* list : lists) {
+    cursors.push_back(list->begin());
+  }
+  size_t read = 0;
+  auto take = [&](std::vector<Posting>::const_iterator begin,
+                  std::vector<Posting>::const_iterator end) {
+    read += static_cast<size_t>(end - begin);
+    for (auto it = begin; it != end; ++it) {
+      bool everywhere = true;
+      for (size_t i = 1; i < lists.size() && everywhere; ++i) {
+        ++read;
+        cursors[i] = GallopLowerBound(cursors[i], lists[i]->end(), *it);
+        everywhere = cursors[i] != lists[i]->end() && *cursors[i] == *it;
+      }
+      if (everywhere) out.push_back(*it);
+    }
+  };
+  const std::vector<Posting>& shortest = *lists.front();
+  if (scope.paths == nullptr) {
+    take(shortest.begin(), shortest.end());
+  } else {
+    for (PathId path : *scope.paths) {
+      auto begin = std::lower_bound(
+          shortest.begin(), shortest.end(), path,
+          [](const Posting& p, PathId v) { return p.path < v; });
+      auto end = std::upper_bound(
+          begin, shortest.end(), path,
+          [](PathId v, const Posting& p) { return v < p.path; });
+      take(begin, end);
     }
   }
-  return candidates;
+  if (scope.postings_read != nullptr) *scope.postings_read += read;
+  return out;
 }
 
 }  // namespace text

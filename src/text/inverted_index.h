@@ -11,6 +11,9 @@
 #ifndef MEETXML_TEXT_INVERTED_INDEX_H_
 #define MEETXML_TEXT_INVERTED_INDEX_H_
 
+#include <algorithm>
+#include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -43,6 +46,41 @@ struct Posting {
   }
 };
 
+/// \brief Where a posting-list lookup looks and what it accounts:
+/// `paths` (sorted path ids) restricts the result to those paths when
+/// non-null; `postings_read`, when non-null, accumulates the postings
+/// the lookup examined.
+struct PostingScope {
+  const std::vector<PathId>* paths = nullptr;
+  size_t* postings_read = nullptr;
+};
+
+/// \brief std::lower_bound for a rising sequence of probes: searches
+/// forward from `first` in doubling steps, so a probe that lands close
+/// to the previous one costs O(log distance), not O(log n).
+template <typename It, typename T, typename Less = std::less<>>
+It GallopLowerBound(It first, It last, const T& value, Less less = {}) {
+  size_t step = 1;
+  while (static_cast<size_t>(last - first) > step) {
+    It probe = first + static_cast<std::ptrdiff_t>(step);
+    if (!less(*probe, value)) {
+      last = probe;
+      break;
+    }
+    first = probe + 1;
+    step *= 2;
+  }
+  return std::lower_bound(first, last, value, less);
+}
+
+/// \brief The postings common to every list in `lists` (each sorted
+/// and unique) that lie within `scope`: the shortest list, cut to the
+/// scope's paths, probed in the others with GallopLowerBound. Sorted
+/// and unique; empty when `lists` is.
+std::vector<Posting> IntersectPostings(
+    std::vector<const std::vector<Posting>*> lists,
+    const PostingScope& scope = {});
+
 /// \brief Index construction knobs.
 struct IndexOptions {
   TokenizerOptions tokenizer;
@@ -74,10 +112,11 @@ class InvertedIndex {
 
   /// \brief Candidate postings whose string *may* contain `needle`
   /// (superset guaranteed when the trigram index is on and the needle
-  /// has >= 3 bytes; otherwise returns nullopt meaning "scan").
-  /// Candidates still need verification against the actual strings.
+  /// has >= 3 bytes; otherwise returns nullopt meaning "scan"), within
+  /// `scope` (see IntersectPostings). Candidates still need
+  /// verification against the actual strings.
   std::optional<std::vector<Posting>> TrigramCandidates(
-      std::string_view needle) const;
+      std::string_view needle, const PostingScope& scope = {}) const;
 
   size_t vocabulary_size() const { return words_.size(); }
   size_t posting_count() const { return posting_count_; }

@@ -52,75 +52,69 @@ Result<TermMatches> FullTextSearch::Search(std::string_view term,
   if (term.empty()) {
     return Status::InvalidArgument("empty search term");
   }
+  if (mode == MatchMode::kPhrase && Tokenize(term).empty()) {
+    return Status::InvalidArgument(
+        "phrase contains no indexable words: '", term, "'");
+  }
+  std::optional<std::vector<Posting>> postings =
+      IndexMatches(term, mode, PostingScope{});
+  if (!postings.has_value()) {
+    postings = ScanContains(
+        term, /*ignore_case=*/mode == MatchMode::kContainsIgnoreCase);
+  }
   TermMatches matches;
   matches.term = std::string(term);
+  matches.sets = GroupByPath(std::move(*postings));
+  return matches;
+}
 
-  std::vector<Posting> postings;
+std::optional<std::vector<Posting>> FullTextSearch::SearchOn(
+    std::string_view term, MatchMode mode, const std::vector<PathId>& paths,
+    size_t* postings_read) const {
+  if ((mode == MatchMode::kWord || mode == MatchMode::kPhrase) &&
+      index_.tokenizer_options() != TokenizerOptions{}) {
+    return std::nullopt;
+  }
+  return IndexMatches(term, mode, PostingScope{&paths, postings_read});
+}
+
+std::optional<std::vector<Posting>> FullTextSearch::IndexMatches(
+    std::string_view term, MatchMode mode,
+    const PostingScope& scope) const {
+  auto verified = [&](std::vector<Posting> candidates, const auto& test) {
+    RetainMatchingPostings(*doc_, test, &candidates);
+    return candidates;
+  };
   switch (mode) {
     case MatchMode::kWord:
-      postings = index_.LookupWord(term);
-      break;
+      return IntersectPostings({&index_.LookupWord(term)}, scope);
     case MatchMode::kPhrase: {
-      std::vector<std::string> phrase_tokens = Tokenize(term);
-      if (phrase_tokens.empty()) {
-        return Status::InvalidArgument(
-            "phrase contains no indexable words: '", term, "'");
+      // Candidates: strings holding every word of the phrase; then the
+      // adjacency check against the stored strings.
+      std::vector<std::string> tokens = Tokenize(term);
+      if (tokens.empty()) return std::vector<Posting>();
+      std::vector<const std::vector<Posting>*> lists;
+      for (const std::string& token : tokens) {
+        lists.push_back(&index_.LookupWord(token));
       }
-      // Candidates: strings containing every word; start from the
-      // rarest posting list.
-      const std::vector<Posting>* smallest = nullptr;
-      for (const std::string& token : phrase_tokens) {
-        const std::vector<Posting>& list = index_.LookupWord(token);
-        if (smallest == nullptr || list.size() < smallest->size()) {
-          smallest = &list;
-        }
-      }
-      for (const Posting& candidate : *smallest) {
-        bool all_words = true;
-        for (const std::string& token : phrase_tokens) {
-          const std::vector<Posting>& list = index_.LookupWord(token);
-          if (!std::binary_search(list.begin(), list.end(), candidate)) {
-            all_words = false;
-            break;
-          }
-        }
-        if (!all_words) continue;
-        for (std::string_view value :
-             doc_->StringValuesAt(candidate.path, candidate.owner)) {
-          if (MatchesPhrase(value, phrase_tokens)) {
-            postings.push_back(candidate);
-            break;
-          }
-        }
-      }
-      break;
+      return verified(IntersectPostings(std::move(lists), scope),
+                      [&](std::string_view value) {
+                        return MatchesPhrase(value, tokens);
+                      });
     }
     case MatchMode::kContains: {
-      std::optional<std::vector<Posting>> candidates =
-          index_.TrigramCandidates(term);
-      if (!candidates.has_value()) {
-        postings = ScanContains(term, /*ignore_case=*/false);
-        break;
-      }
       // Trigram candidates are a superset; verify against the strings.
-      for (const Posting& posting : *candidates) {
-        for (std::string_view value :
-             doc_->StringValuesAt(posting.path, posting.owner)) {
-          if (util::Contains(value, term)) {
-            postings.push_back(posting);
-            break;
-          }
-        }
-      }
-      break;
+      std::optional<std::vector<Posting>> candidates =
+          index_.TrigramCandidates(term, scope);
+      if (!candidates.has_value()) return std::nullopt;
+      return verified(std::move(*candidates), [&](std::string_view value) {
+        return util::Contains(value, term);
+      });
     }
     case MatchMode::kContainsIgnoreCase:
-      postings = ScanContains(term, /*ignore_case=*/true);
-      break;
+      return std::nullopt;
   }
-
-  matches.sets = GroupByPath(std::move(postings));
-  return matches;
+  return std::nullopt;
 }
 
 Result<std::vector<TermMatches>> FullTextSearch::SearchAll(

@@ -4,7 +4,10 @@
 #ifndef MEETXML_TEXT_SEARCH_H_
 #define MEETXML_TEXT_SEARCH_H_
 
+#include <algorithm>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,6 +70,18 @@ class FullTextSearch {
   util::Result<TermMatches> Search(std::string_view term,
                                    MatchMode mode) const;
 
+  /// \brief Matches of one term on the sorted `paths` only, answered
+  /// from the index as sorted, unique postings — or nullopt when the
+  /// index cannot answer the mode exactly as the per-value match
+  /// functions (util::Contains, MatchesWord, MatchesPhrase) would:
+  /// kContainsIgnoreCase; kContains under 3 bytes or without trigrams;
+  /// kWord and kPhrase over an index tokenized with non-default
+  /// options. A phrase with no indexable words matches nothing. Adds
+  /// the postings it reads to `*postings_read`.
+  std::optional<std::vector<Posting>> SearchOn(
+      std::string_view term, MatchMode mode,
+      const std::vector<PathId>& paths, size_t* postings_read) const;
+
   /// \brief Searches several terms; the result vector is parallel to
   /// `terms`. Feeding all sets of all terms into MeetGeneral computes the
   /// paper's "meet of full-text results" queries.
@@ -92,6 +107,13 @@ class FullTextSearch {
   FullTextSearch(const StoredDocument* doc, InvertedIndex index)
       : doc_(doc), index_(std::move(index)) {}
 
+  /// Index-answered matches within `scope`, verified against the
+  /// strings; nullopt for kContainsIgnoreCase and for kContains when
+  /// the trigram index cannot prune.
+  std::optional<std::vector<Posting>> IndexMatches(
+      std::string_view term, MatchMode mode,
+      const PostingScope& scope) const;
+
   /// Scans every string BAT with a substring predicate (the fallback
   /// when the trigram index cannot prune).
   std::vector<Posting> ScanContains(std::string_view needle,
@@ -104,6 +126,46 @@ class FullTextSearch {
   const StoredDocument* doc_;
   InvertedIndex index_;
 };
+
+/// \brief Keeps the postings (sorted, as every index lookup returns
+/// them) some string value of which passes `test`: the verification
+/// pass behind candidate sets. Walks each sorted relation once.
+template <typename Test>
+void RetainMatchingPostings(const StoredDocument& doc, const Test& test,
+                            std::vector<Posting>* postings) {
+  size_t kept = 0;
+  PathId path = bat::kInvalidPathId;
+  const model::OidStrBat* table = nullptr;
+  std::span<const Oid> heads;
+  std::span<const Oid>::iterator cursor;
+  for (const Posting& posting : *postings) {
+    if (posting.path != path) {
+      path = posting.path;
+      table = &doc.StringsAt(path);
+      heads = doc.StringRelationSorted(path) ? table->heads()
+                                             : std::span<const Oid>();
+      cursor = heads.begin();
+    }
+    bool pass = false;
+    if (heads.empty()) {
+      for (std::string_view value : doc.StringValuesAt(path, posting.owner)) {
+        if (test(value)) {
+          pass = true;
+          break;
+        }
+      }
+    } else {
+      cursor = GallopLowerBound(cursor, heads.end(), posting.owner);
+      for (auto row = cursor; !pass && row != heads.end() &&
+                              *row == posting.owner;
+           ++row) {
+        pass = test(table->tail(static_cast<size_t>(row - heads.begin())));
+      }
+    }
+    if (pass) (*postings)[kept++] = posting;
+  }
+  postings->resize(kept);
+}
 
 }  // namespace text
 }  // namespace meetxml

@@ -55,5 +55,30 @@ bool MatchesPhrase(std::string_view value,
   return false;
 }
 
+bool MatchesWord(std::string_view value, std::string_view word) {
+  auto is_word_byte = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) != 0;
+  };
+  auto fold = [](char c) {
+    return std::tolower(static_cast<unsigned char>(c));
+  };
+  size_t i = 0;
+  while (i < value.size()) {
+    if (!is_word_byte(value[i])) {
+      ++i;
+      continue;
+    }
+    size_t end = i;
+    while (end < value.size() && is_word_byte(value[end])) ++end;
+    if (end - i == word.size() &&
+        std::equal(word.begin(), word.end(), value.begin() + i,
+                   [&](char a, char b) { return fold(a) == fold(b); })) {
+      return true;
+    }
+    i = end;
+  }
+  return false;
+}
+
 }  // namespace text
 }  // namespace meetxml

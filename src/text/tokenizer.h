@@ -16,6 +16,8 @@ struct TokenizerOptions {
   size_t min_token_length = 1;
   /// Fold ASCII upper case to lower case.
   bool fold_case = true;
+
+  bool operator==(const TokenizerOptions&) const = default;
 };
 
 /// \brief Splits `s` into maximal runs of ASCII alphanumeric characters.
@@ -33,6 +35,11 @@ std::vector<std::string> TokenizeUnique(std::string_view s,
 /// `phrase_tokens` as a consecutive run (phrase-match semantics).
 bool MatchesPhrase(std::string_view value,
                    const std::vector<std::string>& phrase_tokens);
+
+/// \brief True when `word`, case-folded, is one of the default-folded
+/// tokens of `value` (whole-word semantics: what the word index
+/// answers under default options). Allocates nothing.
+bool MatchesWord(std::string_view value, std::string_view word);
 
 }  // namespace text
 }  // namespace meetxml

@@ -12,9 +12,14 @@
 #include <thread>
 #include <vector>
 
+#include "data/dblp_gen.h"
 #include "gtest/gtest.h"
+#include "model/shredder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "query/executor.h"
+#include "query/parser.h"
+#include "query/path_match.h"
 #include "server/worker_pool.h"
 
 namespace meetxml {
@@ -293,6 +298,79 @@ TEST(ObsRegistryTest, LookupReturnsTheSameMetricAndSummariesSkipEmpty) {
   ASSERT_EQ(summaries.size(), 1u);  // the empty ping series is skipped
   EXPECT_EQ(summaries[0].name, "meetxml_req_us{op=\"query\"}");
   EXPECT_EQ(summaries[0].summary.count, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Binding work counters: string values tested by a filter or scan, and
+// postings read from the index — deterministic, so they pin exactly.
+
+class ObsBindCountersTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    data::DblpOptions options;
+    options.end_year = 1987;
+    options.icde_papers_per_year = 10;
+    options.other_papers_per_year = 20;
+    options.journal_articles_per_year = 10;
+    auto xml = data::GenerateDblpXml(options);
+    ASSERT_TRUE(xml.ok()) << xml.status();
+    auto doc = model::ShredXmlText(*xml);
+    ASSERT_TRUE(doc.ok()) << doc.status();
+    doc_ = std::move(*doc);
+  }
+
+  struct Delta {
+    uint64_t scanned;
+    uint64_t postings;
+  };
+
+  // Runs `text` on `executor` and returns the counters' movement.
+  static Delta Run(const query::Executor& executor, const std::string& text) {
+    Counter& scanned = MetricsRegistry::Global().counter(
+        "meetxml_query_bind_values_scanned_total");
+    Counter& postings = MetricsRegistry::Global().counter(
+        "meetxml_query_bind_postings_total");
+    uint64_t scanned_before = scanned.Value();
+    uint64_t postings_before = postings.Value();
+    auto result = executor.ExecuteText(text);
+    EXPECT_TRUE(result.ok()) << result.status();
+    return Delta{scanned.Value() - scanned_before,
+                 postings.Value() - postings_before};
+  }
+
+  model::StoredDocument doc_;
+};
+
+TEST_F(ObsBindCountersTest, Fig7ShapedQueryScansNoValues) {
+  auto executor = query::Executor::Build(doc_);
+  ASSERT_TRUE(executor.ok()) << executor.status();
+  Delta delta = Run(*executor,
+                    "SELECT MEET(a, b) FROM dblp//cdata a, dblp//cdata b "
+                    "WHERE a CONTAINS 'ICDE' AND (b CONTAINS '1984' OR "
+                    "b CONTAINS '1986' OR b CONTAINS '1987') EXCLUDE dblp");
+  EXPECT_EQ(delta.scanned, 0u);
+  EXPECT_GT(delta.postings, 0u);
+}
+
+TEST_F(ObsBindCountersTest, IcontainsScansEveryBoundStringOnce) {
+  auto executor = query::Executor::Build(doc_);
+  ASSERT_TRUE(executor.ok()) << executor.status();
+  const std::string text =
+      "SELECT COUNT(a) FROM dblp//title/cdata a WHERE a ICONTAINS 'data' "
+      "AND a ICONTAINS 'base'";
+  auto query = query::ParseQuery(text);
+  ASSERT_TRUE(query.ok()) << query.status();
+  auto paths = query::MatchPattern(doc_.paths(), query->bindings[0].pattern);
+  ASSERT_TRUE(paths.ok()) << paths.status();
+  uint64_t strings = 0;
+  for (bat::PathId path : *paths) strings += doc_.StringsAt(path).size();
+  ASSERT_GT(strings, 0u);
+
+  Delta delta = Run(*executor, text);
+  EXPECT_EQ(delta.scanned, strings);
+  EXPECT_EQ(delta.postings, 0u);
+  // No conjunct could use the index, so none was built for it.
+  EXPECT_FALSE(executor->text_index_built());
 }
 
 // ---------------------------------------------------------------------------

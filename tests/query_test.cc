@@ -537,6 +537,80 @@ TEST_F(ExecutorTest, ExplainShowsBindingPlan) {
   EXPECT_NE(plan->find("meet (nearest concepts)"), std::string::npos);
 }
 
+TEST_F(ExecutorTest, ExplainNamesIndexedFilteredAndScannedConjuncts) {
+  auto mixed = executor_->ExplainText(
+      "select o from bibliography//cdata o "
+      "where (o contains 'Bit' or o word 'hack') and o icontains 'b'");
+  ASSERT_TRUE(mixed.ok()) << mixed.status();
+  EXPECT_NE(mixed->find("  index: o CONTAINS 'Bit' OR o WORD 'hack'\n"),
+            std::string::npos)
+      << *mixed;
+  EXPECT_NE(mixed->find("  filter: o ICONTAINS 'b'\n"), std::string::npos)
+      << *mixed;
+
+  auto scan = executor_->ExplainText(
+      "select o from bibliography//cdata o where o icontains 'bit'");
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  EXPECT_NE(scan->find("  scan: o ICONTAINS 'bit'\n"), std::string::npos)
+      << *scan;
+
+  // NOT and a 2-byte CONTAINS have no index path: the binding scans.
+  auto unindexed = executor_->ExplainText(
+      "select o from bibliography//cdata o "
+      "where not (o contains 'Bit' and o = 'x') and o contains '99'");
+  ASSERT_TRUE(unindexed.ok()) << unindexed.status();
+  EXPECT_NE(unindexed->find("  scan: NOT (o CONTAINS 'Bit' AND o = 'x')\n"),
+            std::string::npos)
+      << *unindexed;
+
+  // A tree whose index set is only a superset is also a filter.
+  auto superset = executor_->ExplainText(
+      "select o from bibliography//cdata o "
+      "where (o contains 'Bit' and o icontains 'ben') or o word 'hack'");
+  ASSERT_TRUE(superset.ok()) << superset.status();
+  EXPECT_NE(superset->find("  index, then filter: (o CONTAINS 'Bit' AND "
+                           "o ICONTAINS 'ben') OR o WORD 'hack'\n"),
+            std::string::npos)
+      << *superset;
+}
+
+TEST(Parser, RejectsEmptySearchLiterals) {
+  for (const char* op : {"contains", "icontains", "word", "phrase",
+                         "synonym"}) {
+    std::string text = std::string("select o from a o where o ") + op + " ''";
+    auto query = ParseQuery(text);
+    ASSERT_FALSE(query.ok()) << text;
+    EXPECT_NE(query.status().ToString().find("empty search literal"),
+              std::string::npos)
+        << query.status();
+  }
+  EXPECT_TRUE(ParseQuery("select o from a o where o = ''").ok());
+}
+
+TEST_F(ExecutorTest, EmptyLiteralFailsAloneAndUnderOr) {
+  // Both forms fail the same way: at parse time, before any binding.
+  auto alone = executor_->ExecuteText(
+      "select o from bibliography//cdata o where o contains ''");
+  auto under_or = executor_->ExecuteText(
+      "select o from bibliography//cdata o "
+      "where o contains '' or o contains 'zzzz'");
+  ASSERT_FALSE(alone.ok());
+  ASSERT_FALSE(under_or.ok());
+  EXPECT_EQ(alone.status().code(), under_or.status().code());
+  EXPECT_NE(under_or.status().ToString().find("empty search literal"),
+            std::string::npos);
+  // Equality with the empty string stays a valid (here empty) filter.
+  EXPECT_TRUE(
+      Run("select o from bibliography//cdata o where o = ''").rows.empty());
+}
+
+TEST_F(ExecutorTest, PhraseWithoutIndexableWordsBindsNothing) {
+  QueryResult result =
+      Run("select o from bibliography//cdata o where o phrase '--'");
+  EXPECT_TRUE(result.rows.empty());
+  EXPECT_TRUE(executor_->text_index_built());
+}
+
 TEST_F(ExecutorTest, GraphMeetProjectionOnTreeOnlyDataEqualsMeet) {
   // Without references GMEET degenerates to the tree meet.
   QueryResult graph = Run(
