@@ -11,6 +11,13 @@
 // combinatorial explosion of the result set and dependence on the input
 // order"). Lone items keep climbing; an item that reaches the root alone
 // produces nothing.
+//
+// Execution follows §3.2's level-wise joins: each path's bucket is kept
+// as a run sorted by node and scanned for groups in ascending node
+// order. OIDs are dense in pre-order and one path's nodes share a depth,
+// so the items a path lifts to its parent form one sorted run, which is
+// merged into the parent's bucket — a merge join per level, with no
+// hashing and no per-node allocation.
 
 #ifndef MEETXML_CORE_MEET_GENERAL_H_
 #define MEETXML_CORE_MEET_GENERAL_H_
@@ -67,7 +74,9 @@ struct MeetGeneralStats {
 /// Duplicate associations (same path and node, any sources) are merged
 /// into one item that remembers all sources. Results are ordered by
 /// ascending witness_distance, then meet OID (the paper's join-count
-/// ranking heuristic).
+/// ranking heuristic), then witness list: two meets share a node only
+/// when one is a duplicate match meeting on one of the node's attribute
+/// paths. Witnesses are ordered by (node, path, source).
 util::Result<std::vector<GeneralMeet>> MeetGeneral(
     const StoredDocument& doc, const std::vector<AssocSet>& inputs,
     const MeetOptions& options = {}, MeetGeneralStats* stats = nullptr);

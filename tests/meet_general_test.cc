@@ -265,6 +265,57 @@ TEST(MeetGeneral, AttributeAndCdataMeetAtOwnerSubtree) {
   EXPECT_EQ((*results)[0].witness_distance, 4);  // @key arc + 3 edges
 }
 
+TEST(MeetGeneral, TwoMeetsOnOneNodeRankByWitnessList) {
+  // The same @key matched twice meets on the key's arc, and the article
+  // matched twice meets on the article's own path: two meets on one
+  // node, tied on distance and OID. Their witness lists order them, so
+  // the answer and its LIMIT 1 do not depend on the input order.
+  auto doc = MustShred(data::PaperExampleXml());
+  Oid article = FindElement(doc, "article");
+  PathId article_path = doc.path(article);
+  PathId key_path =
+      doc.paths().Find(article_path, model::StepKind::kAttribute, "key");
+  ASSERT_NE(key_path, bat::kInvalidPathId);
+  std::vector<AssocSet> inputs = {{key_path, {article}},
+                                  {article_path, {article}},
+                                  {key_path, {article}},
+                                  {article_path, {article}}};
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass == 0 ? "inputs as listed" : "inputs reversed");
+    auto all = MeetGeneral(doc, inputs);
+    ASSERT_TRUE(all.ok()) << all.status();
+    ASSERT_EQ(all->size(), 2u);
+    EXPECT_EQ((*all)[0].meet, article);
+    EXPECT_EQ((*all)[1].meet, article);
+    EXPECT_EQ((*all)[0].witnesses[0].assoc.path, article_path);
+    EXPECT_EQ((*all)[1].witnesses[0].assoc.path, key_path);
+    MeetOptions first;
+    first.max_results = 1;
+    auto top = MeetGeneral(doc, inputs, first);
+    ASSERT_TRUE(top.ok()) << top.status();
+    ASSERT_EQ(top->size(), 1u);
+    EXPECT_EQ((*top)[0].witnesses[0].assoc.path, article_path);
+    std::reverse(inputs.begin(), inputs.end());
+  }
+}
+
+TEST(MeetGeneral, WitnessesOfOneAssociationKeepSourceOrder) {
+  // Twenty sets matching one cdata node merge into one item that meets
+  // at itself. Its witnesses are equal on (node, path); they come out in
+  // ascending source order, also past the size where a sort stops being
+  // an insertion sort.
+  auto doc = MustShred(data::PaperExampleXml());
+  std::vector<AssocSet> inputs(20,
+                               SingletonSet(doc, FindCdataNode(doc, "Bit")));
+  auto results = MeetGeneral(doc, inputs);
+  ASSERT_TRUE(results.ok()) << results.status();
+  ASSERT_EQ(results->size(), 1u);
+  ASSERT_EQ((*results)[0].witnesses.size(), inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_EQ((*results)[0].witnesses[i].source, i);
+  }
+}
+
 // ---- Invariance and explosion control ----------------------------------
 
 TEST(MeetGeneral, InputOrderDoesNotChangeResults) {
