@@ -1,7 +1,7 @@
 // AB10 — ablation: the multi-document store catalog.
 //
 // Part 1 measures persistence of an N-document collection: one catalog
-// image (CTLG + N DOC2/DRV1 section pairs) vs. N separate
+// image (CTLG + N DOC2 sections) vs. N separate
 // single-document images. Expected shape: near-identical byte volume
 // and load time — the catalog buys one file handle, one directory and
 // shared framing without a decode penalty, so "one store file" costs

@@ -6,9 +6,10 @@
 // this repo pulls on it:
 //
 // Part 1 — executor from image: the DOC2 payload is decoded by
-// memcpying whole columns and adopting one value arena per path, and
-// the DRV1 section hands over the derived structures instead of a
-// Finalize() rebuild; the executor build rides on top.
+// memcpying whole columns and adopting one value arena per path, then
+// Finalize() derives the children CSR and edge BATs from the node
+// columns (nothing derivable is stored); the executor build rides on
+// top.
 //
 // Part 1b — load mode: a copy-mode load still memcpys every node
 // column and string blob out of the image; a view-mode (kView) load

@@ -20,7 +20,7 @@
 //
 // Part 3 — incremental save: replacing one document of a 65-document
 // store and saving. The in-place save appends the changed document's
-// DOC2 + DRV1 and a fresh CTLG + directory, keeping everything else
+// DOC2 and a fresh CTLG + directory, keeping everything else
 // verbatim; the full rewrite re-serializes all sixty-five. Expected
 // shape: the in-place save is >= 10x faster per changed document.
 

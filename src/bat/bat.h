@@ -222,18 +222,14 @@ class ArenaColumn {
 /// \brief A binary association table with typed head and tail columns.
 ///
 /// Stored column-wise like MonetDB; rows are addressed positionally.
-/// Both columns are ownership-aware (bat::Column): a relation either
-/// owns its rows or borrows them from a mapped image
-/// (AdoptColumnViews), with the same copy-on-write promotion contract
-/// as StrBat — which is what lets the persisted per-path edge BATs of
-/// a DRV1 section be served zero-copy.
+/// Always owned: the per-path edge BATs are derived in memory
+/// (StoredDocument::Finalize), never borrowed from an image.
 template <typename H, typename T>
 class Bat {
  public:
   Bat() = default;
 
-  /// \brief Appends one association (promoting a view-backed relation
-  /// to owned storage first).
+  /// \brief Appends one association.
   void Append(H head, T tail) {
     head_.push_back(std::move(head));
     tail_.push_back(std::move(tail));
@@ -253,30 +249,12 @@ class Bat {
   std::span<const H> heads() const { return head_.span(); }
   std::span<const T> tails() const { return tail_.span(); }
 
-  /// \brief Takes ownership of pre-built columns (the copy-mode bulk
-  /// ingestion path). Requires equal lengths (callers validate; this
-  /// class only stores).
+  /// \brief Takes ownership of pre-built columns (the counting sort in
+  /// StoredDocument::Finalize). Requires equal lengths (callers
+  /// validate; this class only stores).
   void AdoptColumns(std::vector<H> heads, std::vector<T> tails) {
     head_.Adopt(std::move(heads));
     tail_.Adopt(std::move(tails));
-  }
-
-  /// \brief Borrows pre-built columns without copying — the view-mode
-  /// (zero-copy) ingestion path. The caller must keep the backing
-  /// bytes alive for as long as this relation stays view-backed.
-  void AdoptColumnViews(std::span<const H> heads, std::span<const T> tails) {
-    head_.SetView(heads);
-    tail_.SetView(tails);
-  }
-
-  /// \brief True while either column borrows from external bytes.
-  bool is_view() const { return head_.is_view() || tail_.is_view(); }
-
-  /// \brief Promotes both columns to owned storage (no-op when already
-  /// owned).
-  void EnsureOwned() {
-    head_.EnsureOwned();
-    tail_.EnsureOwned();
   }
 
   /// \brief Swaps the two columns (MonetDB `reverse`), O(1) by move.

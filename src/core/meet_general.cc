@@ -28,26 +28,6 @@ struct Item {
   uint32_t wid_count;
 };
 
-bool WitnessBefore(const MeetWitness& a, const MeetWitness& b) {
-  return std::tie(a.assoc.node, a.assoc.path, a.source) <
-         std::tie(b.assoc.node, b.assoc.path, b.source);
-}
-
-// The paper's ranking heuristic: fewest joins (tightest witness span)
-// first, then meet OID. Two meets share a node only when one of them is
-// a duplicate match meeting on one of the node's attribute paths; no
-// witness is in two meets, so comparing witness lists makes the order
-// total.
-bool RankBefore(const GeneralMeet& a, const GeneralMeet& b) {
-  if (a.witness_distance != b.witness_distance) {
-    return a.witness_distance < b.witness_distance;
-  }
-  if (a.meet != b.meet) return a.meet < b.meet;
-  return std::lexicographical_compare(a.witnesses.begin(), a.witnesses.end(),
-                                      b.witnesses.begin(), b.witnesses.end(),
-                                      WitnessBefore);
-}
-
 Status ValidateInput(const StoredDocument& doc, const AssocSet& set,
                      size_t index) {
   if (set.path >= doc.paths().size()) {
@@ -72,6 +52,24 @@ Status ValidateInput(const StoredDocument& doc, const AssocSet& set,
 }
 
 }  // namespace
+
+bool WitnessBefore(const MeetWitness& a, const MeetWitness& b) {
+  return std::tie(a.assoc.node, a.assoc.path, a.source) <
+         std::tie(b.assoc.node, b.assoc.path, b.source);
+}
+
+// Two meets share a node only when one of them is a duplicate match
+// meeting on one of the node's attribute paths; no witness is in two
+// meets, so comparing witness lists makes the order total.
+bool RankBefore(const GeneralMeet& a, const GeneralMeet& b) {
+  if (a.witness_distance != b.witness_distance) {
+    return a.witness_distance < b.witness_distance;
+  }
+  if (a.meet != b.meet) return a.meet < b.meet;
+  return std::lexicographical_compare(a.witnesses.begin(), a.witnesses.end(),
+                                      b.witnesses.begin(), b.witnesses.end(),
+                                      WitnessBefore);
+}
 
 Result<std::vector<GeneralMeet>> MeetGeneral(
     const StoredDocument& doc, const std::vector<AssocSet>& inputs,

@@ -69,14 +69,19 @@ struct MeetGeneralStats {
   size_t meets_pruned = 0;
 };
 
+/// \brief The witness order within a meet: (node, path, source).
+bool WitnessBefore(const MeetWitness& a, const MeetWitness& b);
+
+/// \brief The answer order, paper §4's ranking heuristic: fewest joins
+/// (ascending witness_distance) first, then meet OID, then the witness
+/// list under WitnessBefore. A total order on the meets of one call.
+bool RankBefore(const GeneralMeet& a, const GeneralMeet& b);
+
 /// \brief meet(R1, ..., Rn) over any number of association sets.
 ///
 /// Duplicate associations (same path and node, any sources) are merged
 /// into one item that remembers all sources. Results are ordered by
-/// ascending witness_distance, then meet OID (the paper's join-count
-/// ranking heuristic), then witness list: two meets share a node only
-/// when one is a duplicate match meeting on one of the node's attribute
-/// paths. Witnesses are ordered by (node, path, source).
+/// RankBefore, witnesses by WitnessBefore.
 util::Result<std::vector<GeneralMeet>> MeetGeneral(
     const StoredDocument& doc, const std::vector<AssocSet>& inputs,
     const MeetOptions& options = {}, MeetGeneralStats* stats = nullptr);

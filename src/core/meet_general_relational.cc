@@ -141,12 +141,7 @@ Result<std::vector<GeneralMeet>> MeetGeneralRelational(
         if (options.PathAllowed(meet.meet_path) &&
             meet.witness_distance <= options.max_distance) {
           std::sort(meet.witnesses.begin(), meet.witnesses.end(),
-                    [](const MeetWitness& a, const MeetWitness& b) {
-                      if (a.assoc.node != b.assoc.node) {
-                        return a.assoc.node < b.assoc.node;
-                      }
-                      return a.assoc.path < b.assoc.path;
-                    });
+                    WitnessBefore);
           results.push_back(std::move(meet));
         }
       } else {
@@ -176,13 +171,8 @@ Result<std::vector<GeneralMeet>> MeetGeneralRelational(
     }
   }
 
-  std::sort(results.begin(), results.end(),
-            [](const GeneralMeet& a, const GeneralMeet& b) {
-              if (a.witness_distance != b.witness_distance) {
-                return a.witness_distance < b.witness_distance;
-              }
-              return a.meet < b.meet;
-            });
+  // MeetGeneral's order, so the two strategies agree row for row.
+  std::sort(results.begin(), results.end(), RankBefore);
   if (options.max_results > 0 && results.size() > options.max_results) {
     results.resize(options.max_results);
   }

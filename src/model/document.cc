@@ -30,11 +30,11 @@ util::Status StoredDocument::EnsureValidated() const {
   if (gate->done.load(std::memory_order_acquire)) return gate->status;
   std::lock_guard<std::mutex> lock(gate->mu);
   if (!gate->done.load(std::memory_order_relaxed)) {
-    // Order matters: the storage-column and derived-structure checks
-    // establish the bounds ValidateDocument's traversals (children(),
-    // IsAncestorOrSelf) rely on, so they must pass first.
+    // Order matters: the storage-column checks establish the string
+    // owner bounds ValidateDocument's scans rely on, so they must pass
+    // first. (The derived structures need no check of their own:
+    // Finalize built them from node columns checked at adoption.)
     util::Status status = ValidateStorageColumns(*this);
-    if (status.ok()) status = ValidateDerivedStructures(*this);
     if (status.ok()) status = ValidateDocument(*this);
     gate->status = std::move(status);
     gate->done.store(true, std::memory_order_release);
@@ -149,9 +149,6 @@ Oid StoredDocument::AppendNode(PathId path, Oid parent, int rank) {
   parent_.push_back(parent);
   path_.push_back(path);
   rank_.push_back(rank);
-  if (path >= edges_.size()) edges_.resize(path + 1);
-  if (edges_[path].empty()) edge_paths_.push_back(path);
-  edges_[path].Append(parent, oid);
   finalized_ = false;
   return oid;
 }
@@ -300,114 +297,8 @@ util::Status StoredDocument::AdoptStringRelationViews(
   return Status::OK();
 }
 
-util::Status StoredDocument::AdoptDerivedColumns(
-    const DerivedColumnsView& derived, bool copy) {
-  size_t n = parent_.size();
-  if (n == 0) {
-    return Status::InvalidArgument(
-        "derived columns require node columns to be adopted first");
-  }
-  if (finalized_) {
-    return Status::InvalidArgument(
-        "derived columns adopted into a finalized document");
-  }
-  if (!edge_paths_.empty()) {
-    return Status::InvalidArgument(
-        "derived columns adopted into a document that already has edge "
-        "relations");
-  }
-  if (derived.child_offsets.size() != n + 1) {
-    return Status::InvalidArgument("children CSR offset count mismatch");
-  }
-  if (derived.child_list.size() != n - 1) {
-    return Status::InvalidArgument("children CSR list length mismatch");
-  }
-  if (derived.sorted.size() != string_paths_.size()) {
-    return Status::InvalidArgument(
-        "string sortedness flag count mismatch");
-  }
-  std::vector<uint8_t> group_seen(paths_.size(), 0);
-  size_t total_rows = 0;
-  for (const DerivedEdgeGroup& group : derived.edges) {
-    if (group.path >= paths_.size()) {
-      return Status::InvalidArgument("edge group path out of range");
-    }
-    if (group_seen[group.path]) {
-      return Status::InvalidArgument("duplicate edge group path");
-    }
-    group_seen[group.path] = 1;
-    if (group.heads.size() != group.tails.size()) {
-      return Status::InvalidArgument("edge group column lengths differ");
-    }
-    if (group.heads.empty()) {
-      return Status::InvalidArgument("empty edge group");
-    }
-    total_rows += group.heads.size();
-  }
-  if (total_rows != n) {
-    return Status::InvalidArgument(
-        "edge group rows do not cover every node exactly once");
-  }
-  for (PathId p : string_paths_) {
-    if (strings_[p].offsets_overflowed()) {
-      return Status::InvalidArgument(
-          "string relation at path ", p,
-          " exceeds the 4 GiB value-arena limit");
-    }
-  }
-
-  // All framing holds — install. Deep cross-checks (CSR inversion,
-  // per-row parent match, group ordering, flag correctness) are
-  // ValidateDerivedStructures' job.
-  PathId max_path = 0;
-  for (const DerivedEdgeGroup& group : derived.edges) {
-    max_path = std::max(max_path, group.path);
-  }
-  edges_.resize(max_path + 1);
-  edge_paths_.reserve(derived.edges.size());
-  for (const DerivedEdgeGroup& group : derived.edges) {
-    edge_paths_.push_back(group.path);
-    if (copy) {
-      edges_[group.path].AdoptColumns(
-          std::vector<Oid>(group.heads.begin(), group.heads.end()),
-          std::vector<Oid>(group.tails.begin(), group.tails.end()));
-    } else {
-      edges_[group.path].AdoptColumnViews(group.heads, group.tails);
-    }
-  }
-  if (copy) {
-    child_offsets_.Adopt(std::vector<uint32_t>(
-        derived.child_offsets.begin(), derived.child_offsets.end()));
-    child_list_.Adopt(std::vector<Oid>(derived.child_list.begin(),
-                                       derived.child_list.end()));
-  } else {
-    child_offsets_.SetView(derived.child_offsets);
-    child_list_.SetView(derived.child_list);
-  }
-  string_sorted_.assign(strings_.size(), 1);
-  string_index_.assign(strings_.size(), {});
-  for (size_t i = 0; i < string_paths_.size(); ++i) {
-    PathId p = string_paths_[i];
-    string_sorted_[p] = derived.sorted[i] ? 1 : 0;
-    if (derived.sorted[i]) continue;
-    const OidStrBat& table = strings_[p];
-    auto& index = string_index_[p];
-    index.reserve(table.size());
-    std::span<const Oid> heads = table.heads();
-    for (size_t row = 0; row < table.size(); ++row) {
-      index[heads[row]].push_back(static_cast<uint32_t>(row));
-    }
-  }
-  finalized_ = true;
-  return Status::OK();
-}
-
 bool StoredDocument::view_backed() const {
   if (parent_.is_view() || path_.is_view() || rank_.is_view()) return true;
-  if (child_offsets_.is_view() || child_list_.is_view()) return true;
-  for (const OidOidBat& table : edges_) {
-    if (table.is_view()) return true;
-  }
   for (const OidStrBat& table : strings_) {
     if (table.is_view()) return true;
   }
@@ -426,9 +317,6 @@ void StoredDocument::EnsureOwned() {
   parent_.EnsureOwned();
   path_.EnsureOwned();
   rank_.EnsureOwned();
-  child_offsets_.EnsureOwned();
-  child_list_.EnsureOwned();
-  for (OidOidBat& table : edges_) table.EnsureOwned();
   for (OidStrBat& table : strings_) table.EnsureOwned();
   for (bat::Column<uint32_t>& seq : string_seq_) seq.EnsureOwned();
   backing_.reset();
@@ -442,31 +330,67 @@ Status StoredDocument::Finalize() {
     return Status::Internal("node 0 must be the root");
   }
 
+  // Row count per schema path, and the paths in first-appearance
+  // order — the first pass of the edge relations' counting sort, run
+  // first so a bad path id fails before anything is built.
+  std::span<const Oid> parents = parent_.span();
+  std::span<const PathId> node_paths = path_.span();
+  size_t n = parents.size();
+  std::vector<uint32_t> path_rows(paths_.size(), 0);
+  std::vector<PathId> edge_paths;
+  for (size_t i = 0; i < n; ++i) {
+    PathId path = node_paths[i];
+    if (path >= path_rows.size()) {
+      return Status::InvalidArgument("node ", i, " has path id ", path,
+                                     " outside the path summary");
+    }
+    if (path_rows[path]++ == 0) edge_paths.push_back(path);
+  }
+
   // Children CSR via counting sort on the parent column; `child_list`
   // ends up in OID (== document) order per parent, which is sibling
   // order because the shredder emits children in order.
-  size_t n = parent_.size();
   std::vector<uint32_t> child_offsets(n + 1, 0);
   for (size_t i = 1; i < n; ++i) {
-    if (parent_[i] == kInvalidOid) {
+    if (parents[i] == kInvalidOid) {
       return Status::Internal("non-root node ", i, " has no parent");
     }
-    if (parent_[i] >= i) {
+    if (parents[i] >= i) {
       return Status::Internal("node ", i,
                               " has parent with a later OID; shredder must "
                               "assign DFS order");
     }
-    ++child_offsets[parent_[i] + 1];
+    ++child_offsets[parents[i] + 1];
   }
   for (size_t i = 1; i <= n; ++i) child_offsets[i] += child_offsets[i - 1];
   std::vector<Oid> child_list(n - 1);
   std::vector<uint32_t> cursor(child_offsets.begin(),
                                child_offsets.end() - 1);
   for (size_t i = 1; i < n; ++i) {
-    child_list[cursor[parent_[i]]++] = static_cast<Oid>(i);
+    child_list[cursor[parents[i]]++] = static_cast<Oid>(i);
   }
-  child_offsets_.Adopt(std::move(child_offsets));
-  child_list_.Adopt(std::move(child_list));
+  child_offsets_ = std::move(child_offsets);
+  child_list_ = std::move(child_list);
+
+  // Per-path edge relations, the counting sort's second pass: each
+  // relation's rows in OID (document) order — one (parent, node) BAT
+  // per schema path, §2's Definition 4.
+  std::vector<std::vector<Oid>> edge_heads(paths_.size());
+  std::vector<std::vector<Oid>> edge_tails(paths_.size());
+  for (PathId path : edge_paths) {
+    edge_heads[path].reserve(path_rows[path]);
+    edge_tails[path].reserve(path_rows[path]);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    edge_heads[node_paths[i]].push_back(parents[i]);
+    edge_tails[node_paths[i]].push_back(static_cast<Oid>(i));
+  }
+  edges_.assign(paths_.size(), OidOidBat());
+  for (PathId path : edge_paths) {
+    edges_[path].AdoptColumns(std::move(edge_heads[path]),
+                              std::move(edge_tails[path]));
+  }
+  edge_paths_ = std::move(edge_paths);
 
   // Owner look-ups for reassembly and value probes: document-order
   // relations have sorted owner columns and binary-search in place

@@ -55,34 +55,11 @@ struct StringAssociation {
 /// before EnsureValidated). kFramingOnly keeps the cheap O(1) framing
 /// checks — lengths, path ranges, blob-size consistency — and defers
 /// the O(rows) scans (owner bounds, offset monotonicity) to the
-/// document's lazy validation gate; loaders that MarkUnvalidated()e the
-/// document may use it to make decode cost independent of corpus size.
+/// document's lazy validation gate; loaders that MarkUnvalidated() the
+/// document may use it to keep those scans off the decode.
 enum class ColumnChecks {
   kFull,
   kFramingOnly,
-};
-
-/// \brief One persisted per-path edge relation: (parent, node) rows of
-/// every node with this schema path, in document order.
-struct DerivedEdgeGroup {
-  PathId path;
-  std::span<const Oid> heads;  ///< parents (kInvalidOid for the root)
-  std::span<const Oid> tails;  ///< node OIDs, strictly increasing
-};
-
-/// \brief The derived structures Finalize() would build, precomputed
-/// (by the writer) and handed to AdoptDerivedColumns instead: children
-/// CSR, per-path edge relations, and the per-string-relation
-/// sortedness flags. Spans may borrow from a mapped image (the caller
-/// pins the backing, as for the raw column views).
-struct DerivedColumnsView {
-  std::span<const uint32_t> child_offsets;  ///< node_count + 1 entries
-  std::span<const Oid> child_list;          ///< node_count - 1 entries
-  /// Edge groups in first-appearance (document) order of their paths.
-  std::vector<DerivedEdgeGroup> edges;
-  /// Parallel to string_paths(): 1 if that relation's owner column is
-  /// sorted (binary-search probes), 0 if it needs the hash index.
-  std::vector<uint8_t> sorted;
 };
 
 /// \brief The Monet transform of one XML document.
@@ -212,9 +189,8 @@ class StoredDocument {
   /// \brief Installs the three per-OID columns at once. Requires an
   /// empty document, equal column lengths, a parentless node 0 and
   /// parents[i] < i for i > 0 (DFS order); every path id must be
-  /// interned in paths(). The per-path edge relations arrive later,
-  /// with the rest of the derived structures, via
-  /// AdoptDerivedColumns.
+  /// interned in paths(). These are exactly the preconditions
+  /// Finalize() derives the children CSR and edge relations under.
   util::Status AdoptNodeColumns(std::vector<Oid> parents,
                                 std::vector<PathId> paths,
                                 std::vector<int> ranks);
@@ -246,22 +222,13 @@ class StoredDocument {
       std::span<const uint32_t> seq,
       ColumnChecks checks = ColumnChecks::kFull);
 
-  /// \brief Installs precomputed derived structures (children CSR,
-  /// per-path edge relations, string sortedness) in place of
-  /// Finalize() — the DRV1 path. Requires node columns already
-  /// adopted and every string relation already in place. Only O(1) framing is verified here (span
-  /// lengths, path ranges, row totals); the deep cross-checks —
-  /// CSR inversion, exactly-once coverage, group ordering — live in
-  /// ValidateDerivedStructures (model/validate.h), which loaders run
-  /// inline (eager) or hang on the validation gate (deferred). With
-  /// copy = false the spans are borrowed (caller pins the backing);
-  /// with copy = true they are copied into owned storage. On success
-  /// the document is finalized.
-  util::Status AdoptDerivedColumns(const DerivedColumnsView& derived,
-                                   bool copy);
-
-  /// \brief Builds derived structures (children CSR, string indexes).
-  /// Must be called once after shredding, before queries.
+  /// \brief Builds every derived structure from the node columns and
+  /// string relations: the children CSR, the per-path edge relations
+  /// (groups in first-appearance order, rows in OID order) and the
+  /// string sortedness flags. The only code that builds them — the
+  /// shredders and every image loader call it once the columns are in
+  /// place, so a loaded document's derived structures are those of the
+  /// document it was saved from. Idempotent; must run before queries.
   util::Status Finalize();
 
   bool finalized() const { return finalized_; }
@@ -269,13 +236,11 @@ class StoredDocument {
   // --- Derived-structure access (persistence + validation) ----------
 
   /// \brief Children CSR offsets (node_count + 1 entries; available
-  /// after Finalize or AdoptDerivedColumns).
-  std::span<const uint32_t> child_offsets() const {
-    return child_offsets_.span();
-  }
+  /// after Finalize).
+  std::span<const uint32_t> child_offsets() const { return child_offsets_; }
   /// \brief Children CSR payload (node_count - 1 entries, every
   /// non-root node grouped under its parent in sibling order).
-  std::span<const Oid> child_list() const { return child_list_.span(); }
+  std::span<const Oid> child_list() const { return child_list_; }
   /// \brief True when StringsAt(path) has a sorted owner column (probes
   /// binary-search; otherwise they use the per-path hash index).
   bool StringRelationSorted(PathId path) const {
@@ -364,21 +329,22 @@ class StoredDocument {
   bat::Column<PathId> path_;
   bat::Column<int> rank_;
 
-  // Per-path relations, indexed by PathId (resized lazily).
-  std::vector<OidOidBat> edges_;
+  // Per-path string relations, indexed by PathId (resized lazily).
   std::vector<OidStrBat> strings_;
   // Global append sequence per string-relation row, parallel to
   // strings_[p]; restores per-element attribute order on reassembly.
   std::vector<bat::Column<uint32_t>> string_seq_;
   std::vector<PathId> string_paths_;
-  std::vector<PathId> edge_paths_;
   size_t string_count_ = 0;
 
-  // Derived: children CSR — built by Finalize (owned) or adopted from
-  // a persisted DRV1 section (possibly view-backed, like the raw
-  // columns).
-  bat::Column<uint32_t> child_offsets_;
-  bat::Column<Oid> child_list_;
+  // Derived by Finalize from the node columns, always owned (whatever
+  // the node columns borrow from): the per-path edge relations,
+  // indexed by PathId, with their paths in first-appearance order, and
+  // the children CSR.
+  std::vector<OidOidBat> edges_;
+  std::vector<PathId> edge_paths_;
+  std::vector<uint32_t> child_offsets_;
+  std::vector<Oid> child_list_;
 
   // Derived: owner look-up for string relations. Relations built in
   // document order have non-decreasing owner columns (the shredder

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <span>
 
-#include "model/validate.h"
 #include "util/byte_io.h"
 #include "util/failpoint.h"
 #include "util/file_io.h"
@@ -22,15 +21,16 @@ using util::Status;
 namespace {
 
 constexpr char kMagic[4] = {'M', 'X', 'M', '2'};
-// The one minor revision written and read: DOC2 + DRV1 sections behind
-// a trailing, patchable directory.
-constexpr uint32_t kMinor = 6;
+// The one minor revision written and read: DOC2 sections (the derived
+// structures are rebuilt at load, never stored) behind a trailing,
+// patchable directory.
+constexpr uint32_t kMinor = 7;
 // Fixed header size: magic + u32 minor + u64 dir_offset. Sections
 // start at or after this offset.
 constexpr uint64_t kHeaderSize = 16;
 // Corruption guard: a directory claiming more sections than this is
 // rejected before any allocation happens. Sized for catalogs of a few
-// ten-thousand documents (3 sections each: DOC2 + DRV1 + TIDX); at 28
+// ten-thousand documents (2 sections each: DOC2 + TIDX); at 28
 // directory bytes per section the worst-case pre-validation allocation
 // stays under 2 MB.
 constexpr uint32_t kMaxSections = 65536;
@@ -67,7 +67,7 @@ uint64_t Checksum(std::string_view bytes) {
   return hash;
 }
 
-// The DOC2 and DRV1 codecs memcpy (or view) whole integer columns; these
+// The DOC2 codec memcpys (or views) whole integer columns; these
 // pin the in-memory element widths and byte order the raw
 // little-endian arrays assume (big-endian hosts would need byte swaps
 // here).
@@ -170,95 +170,10 @@ std::string SerializeDocumentPayload(const StoredDocument& doc) {
   return payload.Take();
 }
 
-// Parses a DRV1 payload (spans over `payload`) and adopts it into
-// `doc`, which must already hold its node columns and string
-// relations. `view` requests
-// borrowed adoption; an unaligned payload base silently downgrades to
-// copy (the same safety net the DOC2 decode has — all-u32 framing
-// keeps every interior offset aligned once the base is).
-Status AdoptDerivedFromPayload(std::string_view payload, bool view,
-                               StoredDocument* doc, uint64_t* viewed,
-                               uint64_t* copied) {
-  std::vector<uint32_t> scratch;
-  if (reinterpret_cast<uintptr_t>(payload.data()) % 4 != 0) {
-    if (payload.size() % 4 != 0) {
-      return Status::InvalidArgument(
-          "corrupt image: derived section size not a multiple of 4");
-    }
-    scratch.resize(payload.size() / 4);
-    std::memcpy(scratch.data(), payload.data(), payload.size());
-    payload = std::string_view(
-        reinterpret_cast<const char*>(scratch.data()), payload.size());
-    view = false;  // the scratch dies with this call
-  }
-  ByteReader reader(payload);
-  MEETXML_ASSIGN_OR_RETURN(uint32_t node_count, reader.U32());
-  if (node_count != doc->node_count()) {
-    return Status::InvalidArgument(
-        "corrupt image: derived section node count mismatch");
-  }
-  // Guard before the big column views: offsets + list alone need
-  // 2 * node_count u32s.
-  if (uint64_t{node_count} * 8 > reader.remaining()) {
-    return Status::InvalidArgument("corrupt image: derived node count");
-  }
-  DerivedColumnsView derived;
-  MEETXML_ASSIGN_OR_RETURN(
-      derived.child_offsets,
-      ViewU32Column<uint32_t>(&reader, size_t{node_count} + 1));
-  MEETXML_ASSIGN_OR_RETURN(
-      derived.child_list, ViewU32Column<Oid>(&reader, node_count - 1));
-  MEETXML_ASSIGN_OR_RETURN(uint32_t edge_group_count, reader.U32());
-  if (edge_group_count > reader.remaining() / 8) {
-    return Status::InvalidArgument(
-        "corrupt image: derived edge group count");
-  }
-  derived.edges.reserve(edge_group_count);
-  for (uint32_t g = 0; g < edge_group_count; ++g) {
-    DerivedEdgeGroup group;
-    MEETXML_ASSIGN_OR_RETURN(group.path, reader.U32());
-    MEETXML_ASSIGN_OR_RETURN(uint32_t rows, reader.U32());
-    if (rows == 0 || rows > reader.remaining() / 8) {
-      return Status::InvalidArgument(
-          "corrupt image: derived edge row count");
-    }
-    MEETXML_ASSIGN_OR_RETURN(group.heads, ViewU32Column<Oid>(&reader, rows));
-    MEETXML_ASSIGN_OR_RETURN(group.tails, ViewU32Column<Oid>(&reader, rows));
-    derived.edges.push_back(group);
-  }
-  MEETXML_ASSIGN_OR_RETURN(uint32_t string_group_count, reader.U32());
-  if (string_group_count != doc->string_paths().size()) {
-    return Status::InvalidArgument(
-        "corrupt image: derived string group count mismatch");
-  }
-  derived.sorted.reserve(string_group_count);
-  for (uint32_t i = 0; i < string_group_count; ++i) {
-    MEETXML_ASSIGN_OR_RETURN(uint32_t path, reader.U32());
-    MEETXML_ASSIGN_OR_RETURN(uint32_t flag, reader.U32());
-    if (path != doc->string_paths()[i]) {
-      return Status::InvalidArgument(
-          "corrupt image: derived string group order mismatch");
-    }
-    if (flag > 1) {
-      return Status::InvalidArgument(
-          "corrupt image: derived sortedness flag");
-    }
-    derived.sorted.push_back(static_cast<uint8_t>(flag));
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in derived section");
-  }
-  Status adopted = doc->AdoptDerivedColumns(derived, /*copy=*/!view);
-  if (!adopted.ok()) {
-    return Status::InvalidArgument("corrupt image: ", adopted.message());
-  }
-  *(view ? viewed : copied) += payload.size();
-  return Status::OK();
-}
+}  // namespace
 
-Result<StoredDocument> ParseDocumentPayload(std::string_view payload,
-                                           std::string_view derived_payload,
-                                           const LoadOptions& options) {
+Result<StoredDocument> ParseDocumentSection(std::string_view payload,
+                                            const LoadOptions& options) {
   // A view-mode decode borrows only from a 4-byte aligned base (the
   // framed offsets take care of the rest). In-memory buffers and
   // mapped files are always suitably aligned in practice; the check is
@@ -391,17 +306,13 @@ Result<StoredDocument> ParseDocumentPayload(std::string_view payload,
     return Status::InvalidArgument("trailing bytes in storage image");
   }
 
-  MEETXML_RETURN_NOT_OK(
-      AdoptDerivedFromPayload(derived_payload, view, &doc, &borrowed,
-                              &copied));
-  // Eagerly cross-check the adopted structures unless deferred, so a
-  // default (eager) load is exactly as corruption-proof as rebuilding
-  // them with Finalize() would be.
-  if (!defer) {
-    Status valid = ValidateDerivedStructures(doc);
-    if (!valid.ok()) {
-      return Status::InvalidArgument("corrupt image: ", valid.message());
-    }
+  // Derive the children CSR, edge relations and sortedness flags from
+  // the adopted columns — the same code the shredders run. The node
+  // columns were checked (root, parent order, path ranges) in every
+  // mode, so derivation never reads unchecked structure.
+  Status finalized = doc.Finalize();
+  if (!finalized.ok()) {
+    return Status::InvalidArgument("corrupt image: ", finalized.message());
   }
   if (defer) doc.MarkUnvalidated();
   if (view) doc.PinBacking(options.backing);
@@ -412,6 +323,8 @@ Result<StoredDocument> ParseDocumentPayload(std::string_view payload,
   }
   return doc;
 }
+
+namespace {
 
 // Serializes a directory (count + entries, without its
 // trailing checksum field) — shared by the full writer and the
@@ -473,37 +386,6 @@ Result<std::string> SerializeDocumentSection(const StoredDocument& doc) {
   return SerializeDocumentPayload(doc);
 }
 
-Result<std::string> SerializeDerivedSection(const StoredDocument& doc) {
-  if (!doc.finalized()) {
-    return Status::InvalidArgument(
-        "only finalized documents can be saved");
-  }
-  ByteWriter payload;
-  payload.U32(static_cast<uint32_t>(doc.node_count()));
-  payload.Bytes(ColumnBytes(doc.child_offsets()));
-  payload.Bytes(ColumnBytes(doc.child_list()));
-  payload.U32(static_cast<uint32_t>(doc.edge_paths().size()));
-  for (PathId path : doc.edge_paths()) {
-    const bat::OidOidBat& edges = doc.EdgesAt(path);
-    payload.U32(path);
-    payload.U32(static_cast<uint32_t>(edges.size()));
-    payload.Bytes(ColumnBytes(edges.heads()));
-    payload.Bytes(ColumnBytes(edges.tails()));
-  }
-  payload.U32(static_cast<uint32_t>(doc.string_paths().size()));
-  for (PathId path : doc.string_paths()) {
-    payload.U32(path);
-    payload.U32(doc.StringRelationSorted(path) ? 1 : 0);
-  }
-  return payload.Take();
-}
-
-Result<StoredDocument> ParseDocumentWithDerived(
-    std::string_view payload, std::string_view derived_payload,
-    const LoadOptions& options) {
-  return ParseDocumentPayload(payload, derived_payload, options);
-}
-
 Result<std::string> SaveSectionsToBytes(
     const std::vector<ImageSection>& sections) {
   std::vector<const ImageSection*> pointers;
@@ -519,20 +401,16 @@ Result<std::string> SaveToBytes(const StoredDocument& doc,
         "only finalized documents can be saved");
   }
   // Reject images the loader itself would refuse: too many sections, a
-  // stray document or derived section or duplicate ids must fail at
-  // write time, not at the next restart.
-  if (options.extra_sections.size() > kMaxSections - 2) {
+  // stray document section or duplicate ids must fail at write time,
+  // not at the next restart.
+  if (options.extra_sections.size() > kMaxSections - 1) {
     return Status::InvalidArgument("too many sections: ",
-                                   options.extra_sections.size() + 2);
+                                   options.extra_sections.size() + 1);
   }
   for (size_t i = 0; i < options.extra_sections.size(); ++i) {
     if (options.extra_sections[i].id == kDocumentSectionId) {
       return Status::InvalidArgument(
           "extra sections cannot use the document section id");
-    }
-    if (options.extra_sections[i].id == kDerivedSectionId) {
-      return Status::InvalidArgument(
-          "extra sections cannot use the derived section id");
     }
     for (size_t j = 0; j < i; ++j) {
       if (options.extra_sections[j].id == options.extra_sections[i].id) {
@@ -544,12 +422,9 @@ Result<std::string> SaveToBytes(const StoredDocument& doc,
 
   ImageSection document_section{kDocumentSectionId,
                                 SerializeDocumentPayload(doc)};
-  ImageSection derived{kDerivedSectionId, std::string()};
-  MEETXML_ASSIGN_OR_RETURN(derived.bytes, SerializeDerivedSection(doc));
   std::vector<const ImageSection*> pointers;
-  pointers.reserve(2 + options.extra_sections.size());
+  pointers.reserve(1 + options.extra_sections.size());
   pointers.push_back(&document_section);
-  pointers.push_back(&derived);
   for (const ImageSection& section : options.extra_sections) {
     pointers.push_back(&section);
   }
@@ -642,7 +517,6 @@ Result<LoadedImage> LoadImageFromBytes(std::string_view bytes,
   MEETXML_ASSIGN_OR_RETURN(SectionImage raw, LoadSectionsFromBytes(bytes));
   LoadedImage image;
   const SectionView* doc_section = nullptr;
-  const SectionView* drv_section = nullptr;
   for (const SectionView& section : raw.sections) {
     if (section.id == kDocumentSectionId) {
       if (doc_section != nullptr) {
@@ -650,12 +524,6 @@ Result<LoadedImage> LoadImageFromBytes(std::string_view bytes,
             "corrupt image: duplicate document section");
       }
       doc_section = &section;
-    } else if (section.id == kDerivedSectionId) {
-      if (drv_section != nullptr) {
-        return Status::InvalidArgument(
-            "corrupt image: duplicate derived section");
-      }
-      drv_section = &section;
     } else {
       // Forward compatibility: unknown sections are preserved verbatim
       // for higher layers (or newer readers) to interpret.
@@ -666,12 +534,8 @@ Result<LoadedImage> LoadImageFromBytes(std::string_view bytes,
   if (doc_section == nullptr) {
     return Status::InvalidArgument("corrupt image: no document section");
   }
-  if (drv_section == nullptr) {
-    return Status::InvalidArgument("corrupt image: no derived section");
-  }
-  MEETXML_ASSIGN_OR_RETURN(
-      image.doc, ParseDocumentPayload(doc_section->bytes, drv_section->bytes,
-                                      options));
+  MEETXML_ASSIGN_OR_RETURN(image.doc,
+                           ParseDocumentSection(doc_section->bytes, options));
   return image;
 }
 

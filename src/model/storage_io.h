@@ -6,24 +6,26 @@
 // XML. This module serializes the Monet transform — path summary,
 // per-OID columns and per-path string relations — into a compact,
 // versioned, checksummed binary image. Loading an image is a straight
-// column read: no XML parsing, no re-interning, no rebuilt derived
-// structure. An image is a set of independently checksummed sections,
-// so derived structures (the DRV1 columns below, the full-text indexes
-// of text/index_io.h) persist alongside the document and reload
-// without a rebuild.
+// column read (no XML parsing, no re-interning) followed by
+// StoredDocument::Finalize(), which derives the children CSR and the
+// per-path edge BATs from the parent/path columns exactly as the
+// shredder does: each relation is stored once, never twice. An image
+// is a set of independently checksummed sections, so costlier
+// derived structures (the full-text indexes of text/index_io.h)
+// persist alongside the document and reload without a rebuild.
 //
 // Versioning policy
 // -----------------
 // There is one on-disk layout, and a reader opens nothing else:
 //  * The image starts with the magic "MXM2" and the u32 minor revision
-//    6. Every other magic that starts with "MXM" (the retired first
+//    7. Every other magic that starts with "MXM" (the retired first
 //    major) and every other MXM2 minor (the retired front-directory
-//    minors 2-5) fails at this check with "unsupported storage
+//    minors 2-5, and minor 6, which also stored the derived structures
+//    in a DRV1 section) fails at this check with "unsupported storage
 //    version", before any payload is read. Any other magic is "not a
 //    meetxml storage image".
-//  * Each document is a DOC2 section (the aligned columnar payload)
-//    plus a required DRV1 section (its derived columns), optionally
-//    followed by a TIDX section (text/index_io.h). Catalog images
+//  * Each document is one DOC2 section (the aligned columnar payload),
+//    optionally followed by a TIDX section (text/index_io.h). Catalog images
 //    (store/catalog.h) add a CTLG section naming each document's
 //    sections. Loaders skip section ids they do not recognize (their
 //    bytes are surfaced through LoadedImage::extra_sections).
@@ -32,9 +34,9 @@
 //    loaders verify bounds and checksums before touching a payload
 //    (checksum verification can be deferred, never skipped, on the
 //    lazy catalog path), and semantic validation (path/OID ranges,
-//    parent ordering, string offsets, the append-order permutation
-//    and the derived structures) runs on every load, eagerly by
-//    default or behind the per-document validation gate
+//    parent ordering, string offsets, the append-order permutation)
+//    runs on every load, eagerly by default or behind the
+//    per-document validation gate
 //    (LoadOptions::defer_validation + StoredDocument::EnsureValidated)
 //    when deferred. Corrupted or truncated images are rejected, never
 //    partially applied (tests/storage_fuzz_test.cc pins this).
@@ -46,7 +48,7 @@
 //    directory authoritative and the old image intact.
 //
 // Layout (little-endian):
-//   magic "MXM2" | u32 minor (6) | u64 dir_offset
+//   magic "MXM2" | u32 minor (7) | u64 dir_offset
 //   section payloads, each starting on a 4-byte file offset; gaps
 //   between payloads (alignment padding, superseded sections) carry no
 //   meaning and no checksum
@@ -82,29 +84,24 @@
 //   because the container aligns payloads, within the file: a
 //   view-mode load serves the columns as spans over the mapped image,
 //   a copy-mode load memcpys them.
-// DRV1 derived-columns payload (all little-endian u32):
-//   u32 node_count
-//   child_offsets[]: node_count + 1 raw u32 — children CSR offsets
-//   child_list[]: node_count - 1 raw u32 — children CSR payload
-//   u32 edge_group_count, then per group, in first-appearance
-//   (document) order of the path:
-//     u32 path | u32 row_count (> 0)
-//     heads[]: row_count raw u32 — each node's parent
-//     tails[]: row_count raw u32 — the nodes of this path, ascending
-//   u32 string_group_count, then per string path, in the DOC2
-//   payload's group order: u32 path | u32 sorted_flag (1 when the
-//   owner column is sorted and probes may binary-search)
+// Nothing derivable is stored: the children CSR, the per-path edge
+// BATs (one (parent, node) relation per schema path, §2's Definition
+// 4) and the per-relation string sortedness flags are rebuilt from
+// these columns by StoredDocument::Finalize() on every load, in the
+// order the shredder builds them, so a loaded document re-serializes
+// byte-identically.
 //
 // Zero-copy (view-mode) lifetime contract
 // ---------------------------------------
 // LoadOptions::mode selects who owns the decoded columns:
 //  * kCopy (default): every column is copied out of the image; the
 //    image bytes may be released the moment the loader returns.
-//  * kView: node columns, string columns, value blobs and the DRV1
-//    derived columns are borrowed as spans/views over the image bytes
-//    — no per-column memcpy happens (the decoder still owns the
-//    interned path labels). The caller must guarantee the image bytes
-//    outlive every decoded document. The file loaders do this
+//  * kView: node columns, string columns and value blobs are borrowed
+//    as spans/views over the image bytes — no per-column memcpy
+//    happens (the decoder still owns the interned path labels, and
+//    Finalize() builds the derived structures in owned memory). The
+//    caller must guarantee the image bytes outlive every decoded
+//    document. The file loaders do this
 //    automatically: they open the file through
 //    util::MmapFile::OpenShared and pin the mapping into each decoded
 //    document (StoredDocument::PinBacking), so the mapping is
@@ -149,10 +146,6 @@ inline constexpr uint32_t kDocumentSectionId = MakeSectionId('D', 'O', 'C', '2')
 inline constexpr uint32_t kTextIndexSectionId = MakeSectionId('T', 'I', 'D', 'X');
 /// Multi-document catalog directory (payload codec: store/catalog.h).
 inline constexpr uint32_t kCatalogSectionId = MakeSectionId('C', 'T', 'L', 'G');
-/// Persisted derived columns (children CSR, per-path edge BATs,
-/// string sortedness) of the DOC2 section it pairs with; required next
-/// to every document section.
-inline constexpr uint32_t kDerivedSectionId = MakeSectionId('D', 'R', 'V', '1');
 
 /// \brief One named, independently checksummed byte range of an image.
 struct ImageSection {
@@ -203,7 +196,7 @@ struct SectionScanOptions {
 
 /// \brief Serialization knobs.
 struct SaveOptions {
-  /// Additional sections appended after the DOC2 and DRV1 sections.
+  /// Additional sections appended after the DOC2 section.
   std::vector<ImageSection> extra_sections;
 };
 
@@ -235,14 +228,15 @@ struct LoadOptions {
   /// loads without a backing leave the lifetime burden on the caller.
   std::shared_ptr<const void> backing;
   /// Defer the deep O(rows) semantic scans (string owner bounds,
-  /// offset monotonicity, the append-order permutation, derived-
-  /// structure cross-checks) to the document's validation gate
-  /// (StoredDocument::EnsureValidated) instead of running them at
-  /// decode time. Framing, bounds and structural node-column checks
-  /// still run — a decode never hands out columns it could not
-  /// address safely — but a corrupt image may now be detected at
-  /// first touch rather than at load. The lazy catalog open uses
-  /// this to keep decode cost proportional to the directory.
+  /// offset monotonicity, the append-order permutation, the document
+  /// invariants of model/validate.h) to the document's validation
+  /// gate (StoredDocument::EnsureValidated) instead of running them
+  /// at decode time. Framing, bounds and the structural node-column
+  /// checks still run — a decode never hands out columns it could
+  /// not address safely, and Finalize() derives only from checked
+  /// node columns — but a corrupt string column may now be detected
+  /// at first touch rather than at load. The lazy catalog's
+  /// first-touch decode uses this.
   bool defer_validation = false;
   /// When non-null, receives copy/view byte counts for this load.
   LoadStats* stats = nullptr;
@@ -263,7 +257,7 @@ util::Result<std::string> SaveToBytes(const StoredDocument& doc,
 //
 // The single-document Save/Load functions above are wrappers over this
 // raw section API; store/catalog.h uses it directly to write images
-// carrying several DOC2/DRV1/TIDX groups plus a CTLG directory.
+// carrying several DOC2/TIDX groups plus a CTLG directory.
 
 /// \brief Writes a container around `sections`, in order. Section ids
 /// may repeat — interpreting duplicates is the caller's contract (the
@@ -286,22 +280,15 @@ util::Status VerifySectionChecksum(const SectionView& section);
 /// must be finalized).
 util::Result<std::string> SerializeDocumentSection(const StoredDocument& doc);
 
-/// \brief Encodes a document's derived columns as a DRV1 section
-/// payload (the document must be finalized). Pairs with the DOC2
-/// section of the same document.
-util::Result<std::string> SerializeDerivedSection(const StoredDocument& doc);
-
-/// \brief Decodes a DOC2 section together with its DRV1 section; the
-/// result is finalized. Semantic validation (path/OID ranges, parent
-/// ordering, string offsets, the append-order permutation, the
-/// derived structures) runs here, or on the document's validation
-/// gate with options.defer_validation. The derived structures are
-/// adopted from `derived_payload`, never rebuilt. In view mode the
-/// columns borrow from both payloads — see the lifetime contract
-/// above.
-util::Result<StoredDocument> ParseDocumentWithDerived(
-    std::string_view payload, std::string_view derived_payload,
-    const LoadOptions& options = {});
+/// \brief Decodes a DOC2 section; the result is finalized (Finalize()
+/// derives the children CSR, edge BATs and sortedness flags from the
+/// decoded columns). Semantic validation (path/OID ranges, parent
+/// ordering, string offsets, the append-order permutation) runs here,
+/// or on the document's validation gate with
+/// options.defer_validation. In view mode the columns borrow from the
+/// payload — see the lifetime contract above.
+util::Result<StoredDocument> ParseDocumentSection(
+    std::string_view payload, const LoadOptions& options = {});
 
 /// \brief Restores a document from a binary image; extra sections are
 /// ignored. The result is finalized and ready for queries. Corrupted,

@@ -1,6 +1,5 @@
 #include "model/validate.h"
 
-#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -50,129 +49,6 @@ Status ValidateStorageColumns(const StoredDocument& doc) {
                                        ": duplicate sequence value ", seq);
       }
       seq_seen[seq] = true;
-    }
-  }
-  return Status::OK();
-}
-
-Status ValidateDerivedStructures(const StoredDocument& doc) {
-  if (!doc.finalized()) {
-    return Status::InvalidArgument("document is not finalized");
-  }
-  size_t n = doc.node_count();
-  if (n == 0) {
-    return Status::InvalidArgument("document has no nodes");
-  }
-
-  // --- Children CSR, against the raw spans ---------------------------
-  std::span<const uint32_t> offsets = doc.child_offsets();
-  std::span<const Oid> list = doc.child_list();
-  if (offsets.size() != n + 1 || list.size() != n - 1) {
-    return Status::InvalidArgument("children CSR has wrong frame sizes");
-  }
-  if (offsets[0] != 0 || offsets[n] != n - 1) {
-    return Status::InvalidArgument("children CSR offsets do not span "
-                                   "the child list");
-  }
-  std::vector<bool> child_seen(n, false);
-  for (size_t node = 0; node < n; ++node) {
-    uint32_t begin = offsets[node];
-    uint32_t end = offsets[node + 1];
-    if (end < begin || end > list.size()) {
-      return Status::InvalidArgument("children CSR offsets not monotonic");
-    }
-    Oid previous = 0;
-    for (uint32_t idx = begin; idx < end; ++idx) {
-      Oid child = list[idx];
-      if (child == 0 || child >= n) {
-        return Status::InvalidArgument("children CSR lists OID ", child,
-                                       " out of range");
-      }
-      if (doc.parent(child) != static_cast<Oid>(node)) {
-        return Status::InvalidArgument("children CSR lists ", child,
-                                       " under a node that is not its "
-                                       "parent");
-      }
-      if (idx > begin && child <= previous) {
-        // Finalize's counting sort emits each parent's children in
-        // ascending OID (document) order; anything else would
-        // re-serialize differently than it loaded.
-        return Status::InvalidArgument("children CSR not in document "
-                                       "order under node ", node);
-      }
-      previous = child;
-      if (child_seen[child]) {
-        return Status::InvalidArgument("children CSR lists ", child,
-                                       " twice");
-      }
-      child_seen[child] = true;
-    }
-  }
-  for (Oid oid = 1; oid < n; ++oid) {
-    if (!child_seen[oid]) {
-      return Status::InvalidArgument("children CSR misses node ", oid);
-    }
-  }
-
-  // --- Per-path edge relations ---------------------------------------
-  std::vector<bool> edge_seen(n, false);
-  size_t edge_total = 0;
-  Oid previous_first = 0;
-  bool have_previous_first = false;
-  for (PathId path : doc.edge_paths()) {
-    const bat::OidOidBat& edges = doc.EdgesAt(path);
-    if (edges.empty()) {
-      return Status::InvalidArgument("edge relation ", path, " is empty");
-    }
-    std::span<const Oid> heads = edges.heads();
-    std::span<const Oid> tails = edges.tails();
-    if (have_previous_first && tails[0] <= previous_first) {
-      // edge_paths_ is first-appearance order, and tails are document
-      // order, so group first-OIDs must strictly ascend.
-      return Status::InvalidArgument(
-          "edge relations not in first-appearance order");
-    }
-    previous_first = tails[0];
-    have_previous_first = true;
-    for (size_t row = 0; row < tails.size(); ++row) {
-      Oid child = tails[row];
-      if (child >= n) {
-        return Status::InvalidArgument("edge relation ", path,
-                                       ": node OID out of range");
-      }
-      if (row > 0 && child <= tails[row - 1]) {
-        return Status::InvalidArgument("edge relation ", path,
-                                       ": rows not in document order");
-      }
-      if (doc.path(child) != path) {
-        return Status::InvalidArgument("edge relation ", path,
-                                       ": node has a different path");
-      }
-      if (heads[row] != doc.parent(child)) {
-        return Status::InvalidArgument("edge relation ", path,
-                                       ": head is not the node's parent");
-      }
-      if (edge_seen[child]) {
-        return Status::InvalidArgument("node ", child,
-                                       " appears in two edge relations");
-      }
-      edge_seen[child] = true;
-      ++edge_total;
-    }
-  }
-  if (edge_total != n) {
-    return Status::InvalidArgument("edge relations cover ", edge_total,
-                                   " nodes, expected ", n);
-  }
-
-  // --- String sortedness flags ---------------------------------------
-  for (PathId path : doc.string_paths()) {
-    std::span<const Oid> owners = doc.StringsAt(path).heads();
-    bool sorted = std::is_sorted(owners.begin(), owners.end());
-    if (doc.StringRelationSorted(path) != sorted) {
-      return Status::InvalidArgument(
-          "string relation ", path,
-          ": persisted sortedness flag does not match the owner column");
     }
   }
   return Status::OK();

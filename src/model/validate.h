@@ -39,19 +39,6 @@ util::Status ValidateDocument(const StoredDocument& doc);
 /// (framing always holds); does not touch derived structures.
 util::Status ValidateStorageColumns(const StoredDocument& doc);
 
-/// \brief The deep checks over derived structures installed by
-/// AdoptDerivedColumns: the children CSR frames correctly and is
-/// exactly the counting-sort inversion of the parent column, every
-/// edge relation holds exactly its path's nodes once with
-/// head == parent(tail), groups appear in first-appearance (ascending
-/// first-OID) order with strictly increasing tails, and each string
-/// relation's sortedness flag matches its owner column exactly — the
-/// byte-determinism conditions that make re-serializing an adopted
-/// image reproduce it bit-for-bit. Reads the raw CSR spans with its
-/// own bounds checks, so it is safe on crafted images where
-/// children() would not be; run it before ValidateDocument.
-util::Status ValidateDerivedStructures(const StoredDocument& doc);
-
 }  // namespace model
 }  // namespace meetxml
 

@@ -30,9 +30,8 @@ using util::Status;
 
 namespace {
 
-// The CTLG codec: per entry its document, index and derived section
-// references.
-constexpr uint8_t kCatalogCodec = 2;
+// The CTLG codec: per entry its document and index section references.
+constexpr uint8_t kCatalogCodec = 3;
 
 // Process-wide catalog metrics, resolved once per process: the
 // registry lookup takes a mutex, which first-touch and open paths must
@@ -94,7 +93,6 @@ Status ValidateName(std::string_view name) {
 // the same status instead of re-verifying a known-bad section.
 struct NamedDocument::PendingDecode {
   SectionView doc;
-  SectionView derived;
   SectionView index;
   bool has_index = false;
   model::LoadMode mode = model::LoadMode::kCopy;
@@ -119,15 +117,16 @@ Status Catalog::MaterializeLocked(const NamedDocument* entry) const {
   // byte in this entry's sections must surface here, before any parse
   // looks at the payload.
   Status sum = model::VerifySectionChecksum(pending->doc);
-  if (sum.ok()) sum = model::VerifySectionChecksum(pending->derived);
   if (sum.ok() && pending->has_index) {
     sum = model::VerifySectionChecksum(pending->index);
   }
   if (!sum.ok()) return fail(sum);
 
-  // Decode with validation deferred: framing is checked here, the deep
-  // structural scans latch once inside EnsureValidated on the entry's
-  // first real use (Get / Executor::Build).
+  // Decode with validation deferred: framing and the node columns are
+  // checked here and the derived structures built from them, under the
+  // entry's lazy mutex; the deep structural scans latch once inside
+  // EnsureValidated on the entry's first real use (Get /
+  // Executor::Build).
   util::Timer decode_timer;
   model::LoadStats load_stats;
   model::LoadOptions doc_options;
@@ -135,8 +134,8 @@ Status Catalog::MaterializeLocked(const NamedDocument* entry) const {
   doc_options.backing = pending->backing;
   doc_options.defer_validation = true;
   doc_options.stats = &load_stats;
-  Result<StoredDocument> doc = model::ParseDocumentWithDerived(
-      pending->doc.bytes, pending->derived.bytes, doc_options);
+  Result<StoredDocument> doc =
+      model::ParseDocumentSection(pending->doc.bytes, doc_options);
   if (!doc.ok()) return fail(doc.status());
   std::optional<text::InvertedIndex> index;
   if (pending->has_index) {
@@ -362,9 +361,9 @@ Status Catalog::EnsureIndex(std::string_view name) {
 
 Result<std::vector<model::PendingSection>> Catalog::PlanSections(
     bool keep_placed, std::vector<EntrySectionMap>* mapping) const {
-  // Section order: CTLG first, then per entry its DOC2 section, (when
-  // an index exists anywhere — on the entry, inside its executor, or
-  // kept from the origin image) TIDX, and its DRV1.
+  // Section order: CTLG first, then per entry its DOC2 section and
+  // (when an index exists anywhere — on the entry, inside its
+  // executor, or kept from the origin image) TIDX.
   std::vector<model::PendingSection> sections;
   sections.emplace_back();  // CTLG placeholder, payload filled below
   mapping->assign(entries_.size(), EntrySectionMap{});
@@ -409,16 +408,6 @@ Result<std::vector<model::PendingSection>> Catalog::PlanSections(
     } else {
       directory.Varint(0);
     }
-
-    directory.Varint(sections.size() + 1);
-    map.derived_at = sections.size();
-    model::PendingSection derived{model::kDerivedSectionId,
-                                  kept(entry.placed.derived), std::string()};
-    if (!derived.keep.has_value()) {
-      MEETXML_ASSIGN_OR_RETURN(derived.bytes,
-                               model::SerializeDerivedSection(entry.doc));
-    }
-    sections.push_back(std::move(derived));
   }
   sections.front() = model::PendingSection{model::kCatalogSectionId,
                                            std::nullopt, directory.Take()};
@@ -525,8 +514,6 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
                                         section.checksum};
       if (section.id == model::kDocumentSectionId) {
         added->placed.doc = placement;
-      } else if (section.id == model::kDerivedSectionId) {
-        added->placed.derived = placement;
       } else if (section.id == model::kTextIndexSectionId) {
         added->placed.index = placement;
       }
@@ -574,19 +561,12 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
   std::vector<bool> claimed(image.sections.size(), false);
   claimed[static_cast<size_t>(catalog_section - image.sections.data())] =
       true;
-  enum class Want { kDocument, kIndex, kDerived };
-  auto claim = [&](uint64_t at, Want want) -> Status {
+  auto claim = [&](uint64_t at, uint32_t want_id) -> Status {
     if (at >= image.sections.size()) {
       return Status::InvalidArgument(
           "corrupt catalog: section index out of range");
     }
-    uint32_t id = image.sections[at].id;
-    bool type_ok = want == Want::kDocument
-                       ? id == model::kDocumentSectionId
-                       : (want == Want::kIndex
-                              ? id == model::kTextIndexSectionId
-                              : id == model::kDerivedSectionId);
-    if (!type_ok) {
+    if (image.sections[at].id != want_id) {
       return Status::InvalidArgument(
           "corrupt catalog: section type mismatch");
     }
@@ -608,9 +588,6 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
     // section position + 1. (A plain position with 0-as-none would
     // misread images whose TIDX legitimately sits at position 0.)
     size_t index_at_plus_one = 0;
-    // The entry's DRV1 section (persisted with the same +1 encoding,
-    // where 0 is corruption).
-    size_t derived_at = 0;
   };
   std::vector<DirectoryEntry> directory;
   directory.reserve(static_cast<size_t>(entry_count));
@@ -631,20 +608,13 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
       return Status::InvalidArgument(
           "corrupt catalog: duplicate document id");
     }
-    MEETXML_RETURN_NOT_OK(claim(doc_at, Want::kDocument));
+    MEETXML_RETURN_NOT_OK(claim(doc_at, model::kDocumentSectionId));
     entry.doc_at = static_cast<size_t>(doc_at);
     if (index_at_plus_one != 0) {
       uint64_t index_at = index_at_plus_one - 1;
-      MEETXML_RETURN_NOT_OK(claim(index_at, Want::kIndex));
+      MEETXML_RETURN_NOT_OK(claim(index_at, model::kTextIndexSectionId));
       entry.index_at_plus_one = static_cast<size_t>(index_at_plus_one);
     }
-    MEETXML_ASSIGN_OR_RETURN(uint64_t derived_at_plus_one, reader.Varint());
-    if (derived_at_plus_one == 0) {
-      return Status::InvalidArgument(
-          "corrupt catalog: document without a derived section");
-    }
-    MEETXML_RETURN_NOT_OK(claim(derived_at_plus_one - 1, Want::kDerived));
-    entry.derived_at = static_cast<size_t>(derived_at_plus_one - 1);
     directory.push_back(std::move(entry));
   }
   if (!reader.AtEnd()) {
@@ -656,11 +626,9 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
   for (size_t at = 0; at < image.sections.size(); ++at) {
     uint32_t id = image.sections[at].id;
     if (!claimed[at] && (id == model::kDocumentSectionId ||
-                         id == model::kTextIndexSectionId ||
-                         id == model::kDerivedSectionId)) {
+                         id == model::kTextIndexSectionId)) {
       return Status::InvalidArgument(
-          "corrupt catalog: unreferenced document, derived or index "
-          "section");
+          "corrupt catalog: unreferenced document or index section");
     }
   }
 
@@ -675,7 +643,6 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
                                      section.checksum};
     };
     target->placed.doc = placement_of(dir_entry.doc_at);
-    target->placed.derived = placement_of(dir_entry.derived_at);
     if (dir_entry.index_at_plus_one != 0) {
       target->placed.index = placement_of(dir_entry.index_at_plus_one - 1);
     }
@@ -703,7 +670,6 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
       }
       auto pending = std::make_unique<NamedDocument::PendingDecode>();
       pending->doc = image.sections[dir_entry.doc_at];
-      pending->derived = image.sections[dir_entry.derived_at];
       pending->mode = options.mode;
       pending->backing = options.backing;
       if (dir_entry.index_at_plus_one != 0) {
@@ -753,14 +719,11 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
     DecodedEntry& out = decoded[i];
     util::Timer decode_timer;
     const SectionView& doc_section = image.sections[directory[i].doc_at];
-    const SectionView& drv_section =
-        image.sections[directory[i].derived_at];
     if (options.quarantine_corrupt) {
       // The scan skipped per-section checksums so a flipped bit lands
       // on this entry alone; verify them here, before any parse reads
       // the payload.
       Status sum = model::VerifySectionChecksum(doc_section);
-      if (sum.ok()) sum = model::VerifySectionChecksum(drv_section);
       if (sum.ok() && directory[i].index_at_plus_one != 0) {
         sum = model::VerifySectionChecksum(
             image.sections[directory[i].index_at_plus_one - 1]);
@@ -772,8 +735,8 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
     }
     model::LoadOptions entry_options = doc_options;
     entry_options.stats = &out.load_stats;
-    Result<StoredDocument> doc = model::ParseDocumentWithDerived(
-        doc_section.bytes, drv_section.bytes, entry_options);
+    Result<StoredDocument> doc =
+        model::ParseDocumentSection(doc_section.bytes, entry_options);
     if (!doc.ok()) {
       out.status = doc.status();
       return;
@@ -885,8 +848,7 @@ Result<bool> Catalog::TrySaveInPlace(
   // A pending entry has nothing to serialize from; without kept
   // placements the full rewrite (which materializes) must run.
   for (const auto& entry : entries_) {
-    if (entry->pending != nullptr && (!entry->placed.doc.has_value() ||
-                                      !entry->placed.derived.has_value())) {
+    if (entry->pending != nullptr && !entry->placed.doc.has_value()) {
       return false;
     }
   }
@@ -933,7 +895,6 @@ Result<bool> Catalog::TrySaveInPlace(
                                   origin_->dir_offset, sections));
   for (size_t i = 0; i < entries_.size(); ++i) {
     entries_[i]->placed.doc = append.placements[ats[i].doc_at];
-    entries_[i]->placed.derived = append.placements[ats[i].derived_at];
     entries_[i]->placed.index =
         ats[i].index_at != SIZE_MAX
             ? std::optional<model::SectionPlacement>(
@@ -989,7 +950,6 @@ Status Catalog::SaveToFile(const std::string& path,
     };
     for (size_t i = 0; i < entries_.size(); ++i) {
       entries_[i]->placed.doc = placement_of(mapping[i].doc_at);
-      entries_[i]->placed.derived = placement_of(mapping[i].derived_at);
       if (mapping[i].index_at != SIZE_MAX) {
         entries_[i]->placed.index = placement_of(mapping[i].index_at);
       }

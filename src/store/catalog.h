@@ -12,9 +12,9 @@
 //
 // Image layout:
 //   CTLG section: the catalog directory (codec below)
-//   per document, its DOC2 section, its DRV1 derived-columns section
-//   and, when an index exists, one TIDX section (text/index_io.h
-//   payload)
+//   per document, its DOC2 section and, when an index exists, one TIDX
+//   section (text/index_io.h payload); the derived structures are
+//   rebuilt at decode (model/storage_io.h), never stored
 //
 // Zero-copy open: CatalogLoadOptions::mode == kView decodes every
 // document as a view-backed document borrowing straight from the
@@ -27,15 +27,14 @@
 // keep the old inode's mapping).
 //
 // CTLG payload (little-endian, varints are LEB128):
-//   u8 codec version (2)
+//   u8 codec version (3; version 2 also named a DRV1 section per entry)
 //   varint next_doc_id
 //   varint entry count, then per entry in ascending id order:
 //     varint doc id | name (varint length + bytes)
 //     varint doc section index (position in the image directory)
 //     varint index section index + 1 (0 = the document has no TIDX)
-//     varint derived section index + 1 (never 0: DRV1 is required)
-// Every DOC2/TIDX/DRV1 section must be referenced by exactly one
-// entry; dangling or doubly-referenced sections are rejected.
+// Every DOC2/TIDX section must be referenced by exactly one entry;
+// dangling or doubly-referenced sections are rejected.
 // Single-document images written by model/storage_io.h (no CTLG
 // section) load as a one-entry catalog named after the document's
 // root tag.
@@ -196,7 +195,6 @@ struct CatalogSaveOptions {
 /// the incremental writer's keep-list.
 struct SectionPlacements {
   std::optional<model::SectionPlacement> doc;
-  std::optional<model::SectionPlacement> derived;
   std::optional<model::SectionPlacement> index;
 };
 
@@ -372,12 +370,11 @@ class Catalog {
   /// (index_at is SIZE_MAX when the entry has no TIDX).
   struct EntrySectionMap {
     size_t doc_at = SIZE_MAX;
-    size_t derived_at = SIZE_MAX;
     size_t index_at = SIZE_MAX;
   };
   /// The next image's section list, shared by both writers: the CTLG
-  /// directory, then per entry its DOC2, optional TIDX and DRV1
-  /// sections — kept at their origin-image placement when
+  /// directory, then per entry its DOC2 and optional TIDX sections —
+  /// kept at their origin-image placement when
   /// `keep_placed` and the entry has one, serialized otherwise (the
   /// entry must then be materialized). Fills `mapping` per entry.
   util::Result<std::vector<model::PendingSection>> PlanSections(

@@ -205,7 +205,7 @@ TEST(Catalog, CopyAndViewLoadsReserializeIdentically) {
 
   auto bytes = catalog.SaveToBytes();
   ASSERT_TRUE(bytes.ok());
-  EXPECT_EQ((*bytes)[4], 6);  // minor revision
+  EXPECT_EQ((*bytes)[4], 7);  // minor revision
   for (model::LoadMode mode :
        {model::LoadMode::kCopy, model::LoadMode::kView}) {
     CatalogLoadOptions options;
@@ -218,18 +218,18 @@ TEST(Catalog, CopyAndViewLoadsReserializeIdentically) {
   }
 }
 
-TEST(Catalog, EmptyCatalogIsAMinor6Image) {
+TEST(Catalog, EmptyCatalogIsAMinor7Image) {
   // An empty catalog is written in the one layout like any other: a
-  // minor-6 image holding just its CTLG section (codec 2).
+  // minor-7 image holding just its CTLG section (codec 3).
   Catalog catalog;
   auto bytes = catalog.SaveToBytes();
   ASSERT_TRUE(bytes.ok());
-  EXPECT_EQ((*bytes)[4], 6);
+  EXPECT_EQ((*bytes)[4], 7);
   auto sections = model::LoadSectionsFromBytes(*bytes);
   ASSERT_TRUE(sections.ok()) << sections.status();
   ASSERT_EQ(sections->sections.size(), 1u);
   EXPECT_EQ(sections->sections[0].id, model::kCatalogSectionId);
-  EXPECT_EQ(sections->sections[0].bytes[0], 2);
+  EXPECT_EQ(sections->sections[0].bytes[0], 3);
   for (bool lazy : {false, true}) {
     CatalogLoadOptions options;
     options.lazy = lazy;
@@ -320,26 +320,22 @@ TEST(Catalog, TidxAtDirectoryPositionZeroIsNotDropped) {
   ASSERT_TRUE(index.ok());
   size_t postings = index->posting_count();
   auto doc_payload = model::SerializeDocumentSection(doc);
-  auto derived_payload = model::SerializeDerivedSection(doc);
-  ASSERT_TRUE(doc_payload.ok() && derived_payload.ok());
+  ASSERT_TRUE(doc_payload.ok());
 
   util::ByteWriter directory;
-  directory.U8(2);       // codec version
+  directory.U8(3);       // codec version
   directory.Varint(1);   // next_doc_id
   directory.Varint(1);   // one entry
   directory.Varint(0);   // id
   directory.StrVarint("paper");
   directory.Varint(2);   // doc section position
   directory.Varint(1);   // index section position + 1 -> position 0
-  directory.Varint(4);   // derived section position + 1 -> position 3
   auto image = model::SaveSectionsToBytes(
       {model::ImageSection{model::kTextIndexSectionId,
                            text::SerializeIndex(*index)},
        model::ImageSection{model::kCatalogSectionId, directory.Take()},
        model::ImageSection{model::kDocumentSectionId,
-                           std::move(*doc_payload)},
-       model::ImageSection{model::kDerivedSectionId,
-                           std::move(*derived_payload)}});
+                           std::move(*doc_payload)}});
   ASSERT_TRUE(image.ok());
 
   auto loaded = Catalog::LoadFromBytes(*image);
@@ -354,7 +350,7 @@ TEST(Catalog, RejectsOverflowingNextDocId) {
   // truncate and hand out duplicate ids on the next Add; the loader
   // must reject it up front.
   util::ByteWriter payload;
-  payload.U8(2);                          // codec version
+  payload.U8(3);                          // codec version
   payload.Varint(uint64_t{1} << 32);      // next_doc_id beyond u32
   payload.Varint(0);                      // no entries
   auto image = model::SaveSectionsToBytes(
@@ -363,15 +359,14 @@ TEST(Catalog, RejectsOverflowingNextDocId) {
   EXPECT_FALSE(Catalog::LoadFromBytes(*image).ok());
 }
 
-TEST(Catalog, DirectoryNeedsCodec2AndADerivedSectionPerEntry) {
-  // The CTLG codec-1 directory (no derived references) is retired, and
-  // a codec-2 entry whose derived reference is "none" is corruption:
-  // documents are never rebuilt at open time.
+TEST(Catalog, DirectoryNeedsCodec3) {
+  // The CTLG codec-2 directory (which also named a DRV1 section per
+  // entry) and codec 1 are retired: only codec 3 reads, eagerly or
+  // lazily.
   StoredDocument doc = MustShred("<a><b>x</b></a>");
   auto doc_payload = model::SerializeDocumentSection(doc);
-  auto derived_payload = model::SerializeDerivedSection(doc);
-  ASSERT_TRUE(doc_payload.ok() && derived_payload.ok());
-  auto image_with = [&](uint8_t codec, uint64_t derived_at_plus_one) {
+  ASSERT_TRUE(doc_payload.ok());
+  auto image_with = [&](uint8_t codec) {
     util::ByteWriter directory;
     directory.U8(codec);
     directory.Varint(1);  // next_doc_id
@@ -380,28 +375,23 @@ TEST(Catalog, DirectoryNeedsCodec2AndADerivedSectionPerEntry) {
     directory.StrVarint("a");
     directory.Varint(1);  // doc section position
     directory.Varint(0);  // no index
-    directory.Varint(derived_at_plus_one);
     auto image = model::SaveSectionsToBytes(
         {model::ImageSection{model::kCatalogSectionId, directory.Take()},
-         model::ImageSection{model::kDocumentSectionId, *doc_payload},
-         model::ImageSection{model::kDerivedSectionId, *derived_payload}});
+         model::ImageSection{model::kDocumentSectionId, *doc_payload}});
     EXPECT_TRUE(image.ok()) << image.status();
     return *image;
   };
-  ASSERT_TRUE(Catalog::LoadFromBytes(image_with(2, 3)).ok());
+  ASSERT_TRUE(Catalog::LoadFromBytes(image_with(3)).ok());
   for (bool lazy : {false, true}) {
     CatalogLoadOptions options;
     options.lazy = lazy;
-    auto codec1 = Catalog::LoadFromBytes(image_with(1, 3), options);
-    ASSERT_FALSE(codec1.ok());
-    EXPECT_NE(codec1.status().message().find("unsupported catalog codec"),
-              std::string::npos)
-        << codec1.status();
-    auto no_derived = Catalog::LoadFromBytes(image_with(2, 0), options);
-    ASSERT_FALSE(no_derived.ok());
-    EXPECT_NE(no_derived.status().message().find("without a derived"),
-              std::string::npos)
-        << no_derived.status();
+    for (uint8_t retired : {1, 2}) {
+      auto loaded = Catalog::LoadFromBytes(image_with(retired), options);
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_NE(loaded.status().message().find("unsupported catalog codec"),
+                std::string::npos)
+          << loaded.status();
+    }
   }
 }
 
@@ -495,7 +485,7 @@ TEST(Catalog, LazyOpenDefersDecodingUntilFirstTouch) {
   // checksum and decode is still pending.
   EXPECT_EQ(stats.deferred_documents, 3u);
   EXPECT_EQ(stats.sections_verified, 1u);
-  EXPECT_EQ(stats.sections_deferred, 6u);  // 3 x (DOC2 + DRV1)
+  EXPECT_EQ(stats.sections_deferred, 3u);  // 3 x DOC2
   for (const NamedDocument* entry : lazy->entries()) {
     EXPECT_FALSE(entry->materialized.load(std::memory_order_acquire));
   }

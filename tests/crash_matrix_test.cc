@@ -121,7 +121,7 @@ class CrashMatrixCatalogTest : public ::testing::Test {
     if (!FailPoints::enabled()) {
       GTEST_SKIP() << "failpoint sites are compiled out in this build";
     }
-    path_ = TempPath("crash_matrix_catalog.mxm");
+    path_ = file_.path();
     Catalog catalog;
     ASSERT_TRUE(
         catalog.Add("alpha", MustShred(CorpusXml(1))).ok());
@@ -179,6 +179,10 @@ class CrashMatrixCatalogTest : public ::testing::Test {
     *saw_new |= reopened->size() == 3;
   }
 
+  // Unique per test and process: ctest -j runs the fixture's tests
+  // concurrently, and a shared path let one test's saves land in
+  // another's image.
+  meetxml::testing::TempFile file_{"crash_matrix_catalog.mxm"};
   std::string path_;
   std::string base_bytes_;
 };

@@ -170,10 +170,10 @@ TEST(IncrementalSave, SingleAddAppendsInsteadOfRewriting) {
 
   EXPECT_TRUE(stats.in_place);
   EXPECT_FALSE(stats.compacted);
-  // Kept verbatim: DOC2 + DRV1 for each of the 8 existing documents.
-  EXPECT_EQ(stats.sections_kept, 16u);
-  // Appended: the new document's DOC2 + DRV1 and the fresh CTLG.
-  EXPECT_EQ(stats.sections_appended, 3u);
+  // Kept verbatim: the DOC2 of each of the 8 existing documents.
+  EXPECT_EQ(stats.sections_kept, 8u);
+  // Appended: the new document's DOC2 and the fresh CTLG.
+  EXPECT_EQ(stats.sections_appended, 2u);
   EXPECT_GT(stats.bytes_appended, 0u);
   auto after = util::ReadFileToString(path);
   ASSERT_TRUE(after.ok());
@@ -269,7 +269,7 @@ TEST(IncrementalSave, IndexedEntriesKeepTheirTidxAcrossAppends) {
   save.stats = &stats;
   MEETXML_CHECK_OK(catalog.SaveToFile(path, save));
   ASSERT_TRUE(stats.in_place);
-  EXPECT_EQ(stats.sections_kept, 3u);  // DOC2 + TIDX + DRV1
+  EXPECT_EQ(stats.sections_kept, 2u);  // DOC2 + TIDX
 
   auto loaded = Catalog::LoadFromFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();

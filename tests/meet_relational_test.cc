@@ -3,6 +3,8 @@
 // execution (MeetGeneralRelational) must produce identical results on
 // every input.
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "core/meet_general.h"
@@ -32,6 +34,7 @@ void ExpectIdentical(const std::vector<GeneralMeet>& a,
     ASSERT_EQ(a[i].witnesses.size(), b[i].witnesses.size());
     for (size_t w = 0; w < a[i].witnesses.size(); ++w) {
       EXPECT_EQ(a[i].witnesses[w].assoc, b[i].witnesses[w].assoc);
+      EXPECT_EQ(a[i].witnesses[w].source, b[i].witnesses[w].source);
       EXPECT_EQ(a[i].witnesses[w].distance, b[i].witnesses[w].distance);
     }
   }
@@ -52,6 +55,36 @@ TEST(MeetRelational, AgreesOnPaperExample) {
     auto relational_result = MeetGeneralRelational(doc, inputs);
     ASSERT_TRUE(array_result.ok() && relational_result.ok());
     ExpectIdentical(*array_result, *relational_result);
+  }
+}
+
+TEST(MeetRelational, OrdersTiesAndWitnessesLikeMeetGeneral) {
+  // The two orders only a full tie exposes: the duplicate @key and the
+  // duplicate article meet on one node at one distance (ranked by
+  // witness list), and twenty sets matching one cdata node give one
+  // meet whose witnesses are equal on (node, path) (ordered by source,
+  // past the size where a sort stops being an insertion sort).
+  auto doc = MustShred(data::PaperExampleXml());
+  Oid article = meetxml::testing::FindElement(doc, "article");
+  PathId article_path = doc.path(article);
+  PathId key_path =
+      doc.paths().Find(article_path, model::StepKind::kAttribute, "key");
+  ASSERT_NE(key_path, bat::kInvalidPathId);
+  Oid bit = meetxml::testing::FindCdataNode(doc, "Bit");
+  std::vector<AssocSet> inputs = {{key_path, {article}},
+                                  {article_path, {article}},
+                                  {key_path, {article}},
+                                  {article_path, {article}}};
+  for (int i = 0; i < 20; ++i) inputs.push_back({doc.path(bit), {bit}});
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass == 0 ? "inputs as listed" : "inputs reversed");
+    auto array_result = MeetGeneral(doc, inputs);
+    auto relational_result = MeetGeneralRelational(doc, inputs);
+    ASSERT_TRUE(array_result.ok()) << array_result.status();
+    ASSERT_TRUE(relational_result.ok()) << relational_result.status();
+    ASSERT_EQ(array_result->size(), 3u);
+    ExpectIdentical(*array_result, *relational_result);
+    std::reverse(inputs.begin(), inputs.end());
   }
 }
 

@@ -29,11 +29,13 @@ namespace {
 using meetxml::testing::MustShred;
 using meetxml::testing::TempFile;
 
-// Fuzz parameter: the low byte is the minor revision of the image under
-// test — 6, the one layout (DOC2 + DRV1 behind the trailing
-// directory). The kViewMode bit runs the same sweep through a
+// Fuzz parameter: the kViewMode bit runs the same sweep through a
 // zero-copy (kView) load: a corrupt image must fail decode in view
 // mode exactly as in copy mode — never yield a span past the mapping.
+// The low byte only salts the mutation stream. The instance values
+// and names date from minor 6 (DOC2 + DRV1) and are kept so the
+// suite's test ids stay stable; the image under test is always the
+// current writer's (minor 7, DOC2 behind the trailing directory).
 constexpr uint32_t kViewMode = 0x100;
 
 std::string Image() {
@@ -84,10 +86,10 @@ TEST_P(StorageFuzz, EveryTruncationFails) {
 
 TEST_P(StorageFuzz, EveryByteFlipFails) {
   // In a doc-only image every byte is load-bearing: magic, minor and
-  // directory flips trip structural checks (only minor 6 is read),
-  // payload flips trip the section checksum, and the DOC2 and DRV1
-  // payloads are multiples of 4 bytes, so no alignment pad sits
-  // between them. Flip every byte through three masks.
+  // directory flips trip structural checks (only minor 7 is read),
+  // payload flips trip the section checksum, and the DOC2 payload is
+  // a multiple of 4 bytes, so no alignment pad sits before the
+  // directory. Flip every byte through three masks.
   std::string bytes = Image();
   for (uint8_t mask : {0x01, 0x40, 0xff}) {
     for (size_t at = 0; at < bytes.size(); ++at) {
@@ -131,12 +133,12 @@ INSTANTIATE_TEST_SUITE_P(
       return (info.param & kViewMode) != 0 ? "MXM2DRV1View" : "MXM2DRV1";
     });
 
-// A minor-6 header whose directory (at offset 16) holds `count`
+// A minor-7 header whose directory (at offset 16) holds `count`
 // sections and nothing else, with a valid directory checksum.
 std::string CraftDirectoryOnly(uint32_t count) {
   util::ByteWriter out;
   out.Bytes("MXM2");
-  out.U32(6);
+  out.U32(7);
   out.U64(16);  // dir_offset
   util::ByteWriter dir;
   dir.U32(count);
@@ -169,16 +171,11 @@ TEST(StorageFuzzCrafted, BadMagicAndHeaders) {
 
 TEST(StorageFuzzCrafted, WriterRejectsUnloadableSectionSets) {
   // Images the loader would refuse must fail at save time, not at the
-  // next restart. The document and derived section ids are off-limits
-  // as extras.
+  // next restart. The document section id is off-limits as an extra.
   StoredDocument doc = MustShred("<a><b>x</b></a>");
   SaveOptions dup_doc;
   dup_doc.extra_sections.push_back(ImageSection{kDocumentSectionId, "x"});
   EXPECT_FALSE(SaveToBytes(doc, dup_doc).ok());
-
-  SaveOptions dup_derived;
-  dup_derived.extra_sections.push_back(ImageSection{kDerivedSectionId, "x"});
-  EXPECT_FALSE(SaveToBytes(doc, dup_derived).ok());
 
   SaveOptions dup_id;
   dup_id.extra_sections.push_back(ImageSection{kTextIndexSectionId, "x"});
@@ -197,8 +194,7 @@ TEST(StorageFuzzCrafted, WriterRejectsUnloadableSectionSets) {
 // validation modes: a bad image must fail identically everywhere, a
 // view-mode decode must never hand out a span past the mapping, and a
 // deferred-validation load must fail at the latest at its
-// EnsureValidated gate. The DRV1 section next to the crafted payload
-// is the writer's, for the untampered document.
+// EnsureValidated gate.
 
 // A two-node document (<a>xyz</a>): element path 0, cdata path 1, one
 // string. Every knob overrides one field of the valid encoding.
@@ -245,11 +241,8 @@ std::string CraftDoc2Image(const Doc2Knobs& knobs) {
     payload.AlignTo4();
   }
   payload.Bytes(knobs.trailing);
-  auto derived = SerializeDerivedSection(MustShred("<a>xyz</a>"));
-  EXPECT_TRUE(derived.ok()) << derived.status();
   auto image = SaveSectionsToBytes(
-      {ImageSection{kDocumentSectionId, payload.Take()},
-       ImageSection{kDerivedSectionId, *derived}});
+      {ImageSection{kDocumentSectionId, payload.Take()}});
   EXPECT_TRUE(image.ok()) << image.status();
   return *image;
 }
@@ -404,15 +397,13 @@ TEST(StorageFuzzCrafted, Doc2RejectsNonzeroAlignmentPadding) {
   std::string image = CraftDoc2Image(Doc2Knobs{});
   auto sections = LoadSectionsFromBytes(image);
   ASSERT_TRUE(sections.ok());
-  ASSERT_EQ(sections->sections.size(), 2u);
+  ASSERT_EQ(sections->sections.size(), 1u);
   std::string payload(sections->sections[0].bytes);
   ASSERT_EQ(payload.size() % 4, 0u);
   ASSERT_EQ(payload.back(), '\0');
   payload.back() = 'x';
-  auto tampered = SaveSectionsToBytes(
-      {ImageSection{kDocumentSectionId, payload},
-       ImageSection{kDerivedSectionId,
-                    std::string(sections->sections[1].bytes)}});
+  auto tampered =
+      SaveSectionsToBytes({ImageSection{kDocumentSectionId, payload}});
   ASSERT_TRUE(tampered.ok());
   ExpectCorruptionCaught(*tampered, "nonzero alignment pad");
 }
@@ -435,7 +426,7 @@ TEST(StorageFuzzCrafted, BadSectionLengths) {
   const size_t sum_at = count_at + 24;
   uint32_t section_count;
   std::memcpy(&section_count, bytes->data() + count_at, 4);
-  ASSERT_EQ(section_count, 3u);  // DOC2, DRV1, TIDX
+  ASSERT_EQ(section_count, 2u);  // DOC2, TIDX
   const size_t dir_sum_at = count_at + 4 + 28 * section_count;
   uint64_t offset;
   uint64_t size;
@@ -543,14 +534,14 @@ TEST(CatalogFuzz, EveryTruncationFails) {
 
 TEST(CatalogFuzz, ByteFlipsNeverCrashAndPreserveEntries) {
   // A flip in any *covered* byte of a catalog image fails cleanly: the
-  // header is fenced, the directory and every CTLG/DOC2/DRV1/TIDX
-  // payload are checksummed. Minor-6 images align payloads to 4 bytes,
+  // header is fenced, the directory and every CTLG/DOC2/TIDX payload
+  // are checksummed. Minor-7 images align payloads to 4 bytes,
   // so the pad bytes between sections are dead space no checksum
   // covers — a flip there must load the whole catalog intact.
   std::string bytes = CatalogImage();
   auto image = LoadSectionsFromBytes(bytes);
   ASSERT_TRUE(image.ok()) << image.status();
-  ASSERT_NE(image->dir_offset, 0u);  // default save is minor 6
+  ASSERT_NE(image->dir_offset, 0u);  // default save is minor 7
   std::vector<bool> covered(bytes.size(), false);
   for (size_t at = 0; at < 16; ++at) covered[at] = true;  // header fence
   for (const SectionView& section : image->sections) {
@@ -601,7 +592,7 @@ TEST(CatalogFuzz, PseudoRandomMutationsNeverCrash) {
 }
 
 TEST(CatalogFuzz, DanglingSectionsAreRejected) {
-  // An unreferenced DOC2, DRV1 (or TIDX) alongside a CTLG directory is
+  // An unreferenced DOC2 (or TIDX) alongside a CTLG directory is
   // writer corruption, not forward compatibility; the loader must say
   // so instead of silently dropping a document.
   store::Catalog catalog;
@@ -615,98 +606,104 @@ TEST(CatalogFuzz, DanglingSectionsAreRejected) {
     tampered.push_back(
         ImageSection{section.id, std::string(section.bytes)});
   }
-  tampered.push_back(tampered.back());  // duplicate the DRV1 section
+  tampered.push_back(tampered.back());  // duplicate the DOC2 section
   auto rewritten = SaveSectionsToBytes(tampered);
   ASSERT_TRUE(rewritten.ok());
   EXPECT_FALSE(store::Catalog::LoadFromBytes(*rewritten).ok());
 }
 
-// --- Crafted DRV1 corruptions -----------------------------------------
+// --- Node-column corruptions derivation depends on --------------------
 //
-// The derived section is checksummed like any other, so random flips
-// die at the gate (the sweeps above). These cases instead keep
-// every checksum *valid* — the image is re-serialized after the
-// corruption — so the structural validator is the only line of
-// defense: an eager load must reject the image outright, and a
-// deferred-validation load must fail at EnsureValidated — never hand
-// out a document navigating a bad CSR or edge BAT.
+// Finalize() derives the children CSR and the per-path edge BATs from
+// the parent and path columns, so those columns are checked in every
+// load mode before anything is derived. Each case keeps every checksum
+// valid (the crafted DOC2 payload is framed and summed by the real
+// container writer), so the node-column checks are the only defense.
+// Unlike a bad string column, these must fail the decode itself —
+// eagerly and with validation deferred, in copy and in view mode, and
+// on a lazy catalog entry's first touch: no navigable document is ever
+// handed out over them.
 
-std::string ImageWithDerivedWords(
-    const std::function<void(std::vector<uint32_t>&)>& mutate) {
-  auto image = SaveToBytes(MustShred("<a><b>x</b><b>y</b></a>"),
-                           SaveOptions{});  // default: DOC2 + DRV1
-  EXPECT_TRUE(image.ok()) << image.status();
-  auto sections = LoadSectionsFromBytes(*image);
-  EXPECT_TRUE(sections.ok()) << sections.status();
-  std::string doc_payload;
-  std::string drv_payload;
-  for (const SectionView& section : sections->sections) {
-    if (section.id == kDocumentSectionId) {
-      doc_payload = std::string(section.bytes);
-    } else if (section.id == kDerivedSectionId) {
-      drv_payload = std::string(section.bytes);
+void ExpectRejectedAtDecode(const Doc2Knobs& knobs, const char* what) {
+  std::string image = CraftDoc2Image(knobs);
+  auto sections = LoadSectionsFromBytes(image);
+  ASSERT_TRUE(sections.ok()) << what << ": " << sections.status();
+  util::ByteWriter directory;
+  directory.U8(3);  // CTLG codec version
+  directory.Varint(1);
+  directory.Varint(1);
+  directory.Varint(0);
+  directory.StrVarint("crafted");
+  directory.Varint(1);  // doc section position
+  directory.Varint(0);  // no index
+  auto catalog_image = SaveSectionsToBytes(
+      {ImageSection{kCatalogSectionId, directory.Take()},
+       ImageSection{kDocumentSectionId,
+                    std::string(sections->sections[0].bytes)}});
+  ASSERT_TRUE(catalog_image.ok()) << catalog_image.status();
+  for (LoadMode mode : {LoadMode::kCopy, LoadMode::kView}) {
+    for (bool defer : {false, true}) {
+      LoadOptions options;
+      options.mode = mode;
+      options.defer_validation = defer;
+      auto loaded = LoadFromBytes(image, options);
+      ASSERT_FALSE(loaded.ok())
+          << what << " (view=" << (mode == LoadMode::kView)
+          << ", deferred=" << defer << ")";
+      EXPECT_EQ(loaded.status().message().rfind("corrupt image", 0), 0u)
+          << what << ": " << loaded.status();
+    }
+    store::CatalogLoadOptions lazy;
+    lazy.mode = mode;
+    lazy.lazy = true;
+    auto opened = store::Catalog::LoadFromBytes(*catalog_image, lazy);
+    ASSERT_TRUE(opened.ok()) << what << ": " << opened.status();
+    EXPECT_FALSE(opened->Get("crafted").ok())
+        << what << " (lazy, view=" << (mode == LoadMode::kView) << ")";
+  }
+}
+
+TEST(StorageFuzzCrafted, DerivationRejectsBadNodeColumnsInEveryMode) {
+  // The baseline decodes on every path above, so each rejection below
+  // is the corruption's doing.
+  std::string baseline = CraftDoc2Image(Doc2Knobs{});
+  for (LoadMode mode : {LoadMode::kCopy, LoadMode::kView}) {
+    for (bool defer : {false, true}) {
+      LoadOptions options;
+      options.mode = mode;
+      options.defer_validation = defer;
+      auto loaded = LoadFromBytes(baseline, options);
+      ASSERT_TRUE(loaded.ok()) << loaded.status();
+      EXPECT_EQ(loaded->EdgesAt(1).size(), 1u);
     }
   }
-  EXPECT_FALSE(doc_payload.empty());
-  EXPECT_FALSE(drv_payload.empty());
-  std::vector<uint32_t> words(drv_payload.size() / 4);
-  std::memcpy(words.data(), drv_payload.data(), drv_payload.size());
-  mutate(words);
-  drv_payload.assign(reinterpret_cast<const char*>(words.data()),
-                     words.size() * 4);
-  auto rewritten = SaveSectionsToBytes(
-      {ImageSection{kDocumentSectionId, doc_payload},
-       ImageSection{kDerivedSectionId, drv_payload}});
-  EXPECT_TRUE(rewritten.ok()) << rewritten.status();
-  return *rewritten;
-}
-
-void ExpectDerivedCorruptionCaught(
-    const std::function<void(std::vector<uint32_t>&)>& mutate,
-    const char* what) {
-  ExpectCorruptionCaught(ImageWithDerivedWords(mutate), what);
-}
-
-TEST(StorageFuzzCrafted, DerivedBaselineLoads) {
-  // The untampered re-serialization must load — otherwise the cases
-  // below would pass for the wrong reason.
-  std::string image = ImageWithDerivedWords([](std::vector<uint32_t>&) {});
-  for (LoadMode mode : {LoadMode::kCopy, LoadMode::kView}) {
-    LoadOptions options;
-    options.mode = mode;
-    auto loaded = LoadFromBytes(image, options);
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
-    EXPECT_EQ(loaded->node_count(), 5u);
+  {
+    Doc2Knobs knobs;  // a parent at its own OID
+    knobs.parents = {0xffffffffu, 1};
+    ExpectRejectedAtDecode(knobs, "parent at own OID");
   }
-}
-
-TEST(StorageFuzzCrafted, DerivedRejectsBadCsr) {
-  ExpectDerivedCorruptionCaught(
-      [](std::vector<uint32_t>& w) { w[0] += 1; },
-      "node count mismatch with DOC2");
-  ExpectDerivedCorruptionCaught(
-      [](std::vector<uint32_t>& w) { w[1] = 100; },
-      "child offset out of bounds");
-  ExpectDerivedCorruptionCaught(
-      [](std::vector<uint32_t>& w) {
-        uint32_t n = w[0];
-        w[1 + (n + 1)] = 0;  // first child slot names the root
-      },
-      "child list breaks parent inversion");
-}
-
-TEST(StorageFuzzCrafted, DerivedRejectsBadEdgeGroupsAndFlags) {
-  ExpectDerivedCorruptionCaught(
-      [](std::vector<uint32_t>& w) {
-        uint32_t n = w[0];
-        size_t group_count_at = 1 + (n + 1) + (n - 1);
-        // group_count | path | rows | heads... — poison the first head.
-        w[group_count_at + 3] = 0xffffu;
-      },
-      "edge head out of range");
-  ExpectDerivedCorruptionCaught(
-      [](std::vector<uint32_t>& w) { w.back() ^= 1; },
-      "string sorted flag flipped");
+  {
+    Doc2Knobs knobs;  // a parent after its own OID, within the document
+    knobs.parents = {0xffffffffu, 2, 0};
+    knobs.node_paths = {0, 1, 1};
+    knobs.ranks = {0, 0, 1};
+    ExpectRejectedAtDecode(knobs, "parent after own OID");
+  }
+  {
+    Doc2Knobs knobs;  // a parent past the last OID
+    knobs.parents = {0xffffffffu, 7};
+    ExpectRejectedAtDecode(knobs, "parent past the end");
+  }
+  {
+    Doc2Knobs knobs;  // a path id beyond the path summary
+    knobs.node_paths = {0, 2};
+    ExpectRejectedAtDecode(knobs, "path id out of range");
+  }
+  {
+    Doc2Knobs knobs;  // a second parentless node
+    knobs.parents = {0xffffffffu, 0xffffffffu};
+    ExpectRejectedAtDecode(knobs, "second parentless node");
+  }
 }
 
 // --- Appended (in-place) catalog images -------------------------------

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include "data/dblp_gen.h"
 #include "data/paper_example.h"
 #include "data/random_tree.h"
+#include "model/bulk_load.h"
 #include "model/reassembly.h"
 #include "model/shredder.h"
 #include "model/storage_io.h"
@@ -114,26 +117,14 @@ TEST(StorageIo, RejectsWrongVersion) {
 
 TEST(StorageIo, RejectsTrailingBytes) {
   // Trailing bytes inside a payload are corruption, even behind valid
-  // checksums: the DOC2 and DRV1 decoders consume their payloads
-  // exactly.
+  // checksums: the DOC2 decoder consumes its payload exactly.
   StoredDocument doc = MustShred("<a><b>x</b></a>");
   auto doc_payload = SerializeDocumentSection(doc);
-  auto derived_payload = SerializeDerivedSection(doc);
-  ASSERT_TRUE(doc_payload.ok() && derived_payload.ok());
+  ASSERT_TRUE(doc_payload.ok());
   auto long_doc = SaveSectionsToBytes(
-      {ImageSection{kDocumentSectionId, *doc_payload + "extra"},
-       ImageSection{kDerivedSectionId, *derived_payload}});
-  auto long_derived = SaveSectionsToBytes(
-      {ImageSection{kDocumentSectionId, *doc_payload},
-       ImageSection{kDerivedSectionId,
-                    *derived_payload + std::string(4, '\0')}});
-  ASSERT_TRUE(long_doc.ok() && long_derived.ok());
+      {ImageSection{kDocumentSectionId, *doc_payload + "extra"}});
+  ASSERT_TRUE(long_doc.ok());
   auto loaded = LoadFromBytes(*long_doc);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("trailing bytes"),
-            std::string::npos)
-      << loaded.status();
-  loaded = LoadFromBytes(*long_derived);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("trailing bytes"),
             std::string::npos)
@@ -170,19 +161,19 @@ TEST(StorageIo, MissingFileIsNotFound) {
   EXPECT_TRUE(loaded.status().IsNotFound());
 }
 
-// --- The DOC2 + DRV1 layout ---------------------------------------------
+// --- The DOC2 layout ----------------------------------------------------
 
-TEST(StorageIo, DerivedColumnarIsTheDefaultAndStampsMinor6) {
+TEST(StorageIo, DocumentSectionAloneStampsMinor7) {
+  // Nothing derivable is stored: a document image is its DOC2 section.
   StoredDocument doc = MustShred(data::PaperExampleXml());
   auto bytes = SaveToBytes(doc);
   ASSERT_TRUE(bytes.ok());
   EXPECT_EQ(bytes->substr(0, 4), "MXM2");
-  EXPECT_EQ((*bytes)[4], 6);  // minor revision field
+  EXPECT_EQ((*bytes)[4], 7);  // minor revision field
   auto sections = LoadSectionsFromBytes(*bytes);
   ASSERT_TRUE(sections.ok());
-  ASSERT_EQ(sections->sections.size(), 2u);
+  ASSERT_EQ(sections->sections.size(), 1u);
   EXPECT_EQ(sections->sections[0].id, kDocumentSectionId);
-  EXPECT_EQ(sections->sections[1].id, kDerivedSectionId);
 }
 
 TEST(StorageIo, AlignedColumnarColumnsSitOn4ByteOffsets) {
@@ -211,63 +202,95 @@ auto ToVector(const Column& column) {
   return std::vector<Value>(column.begin(), column.end());
 }
 
+// Every structure Finalize() derives, element by element: the
+// children CSR, the per-path edge BATs (heads and tails) in
+// first-appearance order, and the string sortedness flags.
+void ExpectSameDerivedStructures(const StoredDocument& actual,
+                                 const StoredDocument& expected) {
+  ASSERT_TRUE(actual.finalized());
+  EXPECT_EQ(ToVector(actual.child_offsets()),
+            ToVector(expected.child_offsets()));
+  EXPECT_EQ(ToVector(actual.child_list()), ToVector(expected.child_list()));
+  ASSERT_EQ(actual.edge_paths(), expected.edge_paths());
+  for (PathId path = 0; path < expected.paths().size(); ++path) {
+    EXPECT_EQ(ToVector(actual.EdgesAt(path).heads()),
+              ToVector(expected.EdgesAt(path).heads()))
+        << "path " << path;
+    EXPECT_EQ(ToVector(actual.EdgesAt(path).tails()),
+              ToVector(expected.EdgesAt(path).tails()))
+        << "path " << path;
+    EXPECT_EQ(actual.StringRelationSorted(path),
+              expected.StringRelationSorted(path))
+        << "path " << path;
+  }
+  ASSERT_EQ(actual.string_paths(), expected.string_paths());
+}
+
 // The reference check for the one decode path: a saved image, loaded
-// in copy and in view mode, holds exactly the columns the shredder
-// built — node columns, the path summary, the strings in append order
-// — and exactly the derived structures Finalize() built (children CSR,
-// per-path edge BATs, string sortedness). Re-serializing either load
-// reproduces the writer's bytes.
+// in copy and in view mode, eagerly and with validation deferred, and
+// as a lazily decoded catalog entry, holds exactly the columns the
+// shredder built — node columns, the path summary, the strings in
+// append order — and exactly the structures Finalize() derived from
+// them. Re-serializing any load reproduces the writer's bytes.
 void ExpectDecodesToTheShreddedDocument(const StoredDocument& original) {
   auto bytes = SaveToBytes(original);
   ASSERT_TRUE(bytes.ok()) << bytes.status();
-  for (LoadMode mode : {LoadMode::kCopy, LoadMode::kView}) {
-    SCOPED_TRACE(mode == LoadMode::kView ? "view" : "copy");
-    LoadStats stats;
-    LoadOptions options;
-    options.mode = mode;
-    options.stats = &stats;
-    auto loaded = LoadFromBytes(*bytes, options);
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
-    EXPECT_EQ(stats.mode_used, mode);
-    EXPECT_EQ(loaded->view_backed(), mode == LoadMode::kView);
-    if (mode == LoadMode::kView) {
-      EXPECT_EQ(stats.bytes_copied, 0u);
-    }
-
-    ASSERT_EQ(loaded->paths().size(), original.paths().size());
+  auto expect_same = [&](const StoredDocument& loaded) {
+    ASSERT_EQ(loaded.paths().size(), original.paths().size());
     for (PathId id = 0; id < original.paths().size(); ++id) {
-      EXPECT_EQ(loaded->paths().parent(id), original.paths().parent(id));
-      EXPECT_EQ(loaded->paths().kind(id), original.paths().kind(id));
-      EXPECT_EQ(loaded->paths().label(id), original.paths().label(id));
+      EXPECT_EQ(loaded.paths().parent(id), original.paths().parent(id));
+      EXPECT_EQ(loaded.paths().kind(id), original.paths().kind(id));
+      EXPECT_EQ(loaded.paths().label(id), original.paths().label(id));
     }
-    EXPECT_EQ(ToVector(loaded->parent_column()),
+    EXPECT_EQ(ToVector(loaded.parent_column()),
               ToVector(original.parent_column()));
-    EXPECT_EQ(ToVector(loaded->path_column()),
+    EXPECT_EQ(ToVector(loaded.path_column()),
               ToVector(original.path_column()));
-    EXPECT_EQ(ToVector(loaded->rank_column()),
+    EXPECT_EQ(ToVector(loaded.rank_column()),
               ToVector(original.rank_column()));
-    EXPECT_EQ(loaded->StringsInAppendOrder(), original.StringsInAppendOrder());
-
-    EXPECT_EQ(ToVector(loaded->child_offsets()),
-              ToVector(original.child_offsets()));
-    EXPECT_EQ(ToVector(loaded->child_list()),
-              ToVector(original.child_list()));
-    ASSERT_EQ(loaded->edge_paths(), original.edge_paths());
-    for (PathId path : original.edge_paths()) {
-      EXPECT_EQ(ToVector(loaded->EdgesAt(path).heads()),
-                ToVector(original.EdgesAt(path).heads()));
-      EXPECT_EQ(ToVector(loaded->EdgesAt(path).tails()),
-                ToVector(original.EdgesAt(path).tails()));
-    }
-    ASSERT_EQ(loaded->string_paths(), original.string_paths());
-    for (PathId path : original.string_paths()) {
-      EXPECT_EQ(loaded->StringRelationSorted(path),
-                original.StringRelationSorted(path));
-    }
-
-    auto again = SaveToBytes(*loaded);
+    EXPECT_EQ(loaded.StringsInAppendOrder(), original.StringsInAppendOrder());
+    ExpectSameDerivedStructures(loaded, original);
+    auto again = SaveToBytes(loaded);
     ASSERT_TRUE(again.ok()) << again.status();
     EXPECT_EQ(*again, *bytes);
+  };
+
+  auto copy = LoadFromBytes(*bytes);
+  ASSERT_TRUE(copy.ok()) << copy.status();
+  store::Catalog catalog;
+  ASSERT_TRUE(catalog.Add("doc", std::move(*copy)).ok());
+  auto catalog_bytes = catalog.SaveToBytes();
+  ASSERT_TRUE(catalog_bytes.ok()) << catalog_bytes.status();
+
+  for (LoadMode mode : {LoadMode::kCopy, LoadMode::kView}) {
+    for (bool defer : {false, true}) {
+      SCOPED_TRACE(std::string(mode == LoadMode::kView ? "view" : "copy") +
+                   (defer ? ", deferred" : ", eager"));
+      LoadStats stats;
+      LoadOptions options;
+      options.mode = mode;
+      options.defer_validation = defer;
+      options.stats = &stats;
+      auto loaded = LoadFromBytes(*bytes, options);
+      ASSERT_TRUE(loaded.ok()) << loaded.status();
+      EXPECT_EQ(stats.mode_used, mode);
+      EXPECT_EQ(loaded->view_backed(), mode == LoadMode::kView);
+      if (mode == LoadMode::kView) {
+        EXPECT_EQ(stats.bytes_copied, 0u);
+      }
+      EXPECT_TRUE(loaded->EnsureValidated().ok());
+      expect_same(*loaded);
+    }
+    SCOPED_TRACE(mode == LoadMode::kView ? "lazy catalog, view"
+                                         : "lazy catalog, copy");
+    store::CatalogLoadOptions lazy;
+    lazy.mode = mode;
+    lazy.lazy = true;
+    auto opened = store::Catalog::LoadFromBytes(*catalog_bytes, lazy);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    auto entry = opened->Get("doc");
+    ASSERT_TRUE(entry.ok()) << entry.status();
+    expect_same(**entry);
   }
 }
 
@@ -299,20 +322,49 @@ TEST(StorageIo, ColumnarSurvivesExtraSections)  {
   EXPECT_EQ(image->extra_sections[0].bytes, "opaque");
 }
 
-TEST(StorageIo, DerivedSectionIsRequired) {
-  // A DOC2 section alone is not an image: the derived columns are
-  // never rebuilt at load time.
-  StoredDocument doc = MustShred(data::PaperExampleXml());
-  auto doc_payload = SerializeDocumentSection(doc);
-  ASSERT_TRUE(doc_payload.ok());
-  auto bytes =
-      SaveSectionsToBytes({ImageSection{kDocumentSectionId, *doc_payload}});
-  ASSERT_TRUE(bytes.ok());
-  auto loaded = LoadFromBytes(*bytes);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("no derived section"),
-            std::string::npos)
-      << loaded.status();
+// Every shredder hands Finalize() the same columns, so a document
+// loaded from any shredder's image holds the derived structures that
+// shredder built — and all shredders agree. Inputs: DBLP and seeded
+// random trees with element, cdata and attribute paths; shredders:
+// ShredXmlText and BulkShredXmlText at 1, 2 and 8 threads.
+TEST(StorageIo, LoadedDerivedStructuresEqualShreddedOnes) {
+  std::vector<std::string> inputs;
+  data::DblpOptions dblp;
+  dblp.end_year = 1986;
+  auto dblp_xml = data::GenerateDblpXml(dblp);
+  ASSERT_TRUE(dblp_xml.ok());
+  inputs.push_back(*dblp_xml);
+  for (uint64_t seed : {5, 23}) {
+    data::RandomTreeOptions options;
+    options.seed = seed;
+    options.target_elements = 300;
+    options.attribute_prob = 0.6;
+    auto tree = data::GenerateRandomTree(options);
+    ASSERT_TRUE(tree.ok());
+    inputs.push_back(xml::Serialize(*tree));
+  }
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE("input " + std::to_string(i));
+    auto sequential = ShredXmlText(inputs[i]);
+    ASSERT_TRUE(sequential.ok()) << sequential.status();
+    bool has_attribute = false;
+    for (PathId path : sequential->string_paths()) {
+      has_attribute |= sequential->paths().kind(path) == StepKind::kAttribute;
+    }
+    EXPECT_TRUE(has_attribute);
+    ExpectDecodesToTheShreddedDocument(*sequential);
+    for (unsigned threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("bulk, threads " + std::to_string(threads));
+      BulkLoadOptions options;
+      options.threads = threads;
+      options.target_chunk_bytes = 2048;
+      options.min_parallel_bytes = 0;
+      auto bulk = BulkShredXmlText(inputs[i], options);
+      ASSERT_TRUE(bulk.ok()) << bulk.status();
+      ExpectSameDerivedStructures(*bulk, *sequential);
+      ExpectDecodesToTheShreddedDocument(*bulk);
+    }
+  }
 }
 
 class StorageIoProperty : public ::testing::TestWithParam<uint64_t> {};
@@ -349,19 +401,19 @@ TEST(StorageIo, DblpImageIsSmallerThanXml) {
   ASSERT_TRUE(bytes.ok());
   auto sections = LoadSectionsFromBytes(*bytes);
   ASSERT_TRUE(sections.ok());
-  // Sanity: the DOC2 section is within 2x of the XML (it stores paths
-  // once, not per element).
-  EXPECT_LT(sections->sections[0].bytes.size(), xml_text->size() * 2);
-  // With the persisted derived section (the open-time rebuild traded
-  // for bytes) the image still stays within 3x.
-  EXPECT_LT(bytes->size(), xml_text->size() * 3);
+  // Sanity: the image is its DOC2 section plus framing, and stays
+  // within 2x of the XML (it stores paths once, not per element, and
+  // nothing derivable).
+  ASSERT_EQ(sections->sections.size(), 1u);
+  EXPECT_LT(bytes->size(), xml_text->size() * 2);
 }
 
 // --- Version policy ---------------------------------------------------
 
-// Every layout but MXM2 minor 6 is refused at the version check, with
-// nothing else reported: the retired MXM1 magic, and a valid minor-6
-// image re-stamped to each retired front-directory minor 2-5. Every
+// Every layout but MXM2 minor 7 is refused at the version check, with
+// nothing else reported: the retired MXM1 magic, and a valid minor-7
+// image re-stamped to each retired minor — the front-directory minors
+// 2-5 and minor 6, which stored a DRV1 section beside each DOC2. Every
 // loader says the same thing, in both load modes and on a lazy open.
 TEST(StorageCompat, RetiredVersionsAreRefused) {
   StoredDocument doc = MustShred(data::PaperExampleXml());
@@ -380,7 +432,7 @@ TEST(StorageCompat, RetiredVersionsAreRefused) {
   mxm1.U64(0);
   mxm1.Bytes(*doc_payload);
   retired.push_back(mxm1.Take());
-  for (uint32_t minor : {2u, 3u, 4u, 5u}) {
+  for (uint32_t minor : {2u, 3u, 4u, 5u, 6u}) {
     std::string restamped = *current;
     std::memcpy(restamped.data() + 4, &minor, 4);
     retired.push_back(restamped);
@@ -414,10 +466,11 @@ TEST(StorageCompat, RetiredVersionsAreRefused) {
 // --- Format pin -------------------------------------------------------
 //
 // The writer's bytes for fixed inputs, pinned by size and a byte-serial
-// FNV-1a hash. The values were recorded with a writer that still
-// carried the retired layouts, so they also show that the remaining
-// layout's bytes did not change when those went. A change here means
-// the on-disk format drifted.
+// FNV-1a hash. The image values were re-recorded when minor 7 stopped
+// storing the DRV1 section. The DOC2 and TIDX section values were
+// recorded with the minor-6 writer and did not change, which shows
+// that dropping DRV1 left the document and index payloads as they
+// were. A change here means the on-disk format drifted.
 
 uint64_t PinHash(std::string_view bytes) {
   uint64_t hash = 0xcbf29ce484222325ULL;
@@ -428,19 +481,44 @@ uint64_t PinHash(std::string_view bytes) {
   return hash;
 }
 
+// The (id, size, hash) of every section of an image, in directory
+// order.
+std::vector<std::tuple<uint32_t, size_t, uint64_t>> SectionPins(
+    std::string_view image) {
+  std::vector<std::tuple<uint32_t, size_t, uint64_t>> pins;
+  auto sections = LoadSectionsFromBytes(image);
+  EXPECT_TRUE(sections.ok()) << sections.status();
+  if (!sections.ok()) return pins;
+  for (const SectionView& section : sections->sections) {
+    pins.emplace_back(section.id, section.bytes.size(),
+                      PinHash(section.bytes));
+  }
+  return pins;
+}
+
+constexpr uint64_t kPaperDoc2Hash = 0x00462e322248f80cULL;
+constexpr uint64_t kPaperTidxHash = 0xc2a189bdd6986419ULL;
+
 TEST(StorageFormatPin, SingleDocumentImages) {
   StoredDocument doc = MustShred(data::PaperExampleXml());
   auto single = SaveToBytes(doc);
   ASSERT_TRUE(single.ok());
-  EXPECT_EQ(single->size(), 1224u);
-  EXPECT_EQ(PinHash(*single), 0xf29ab1d1ee47c477ULL);
+  EXPECT_EQ(single->size(), 728u);
+  EXPECT_EQ(PinHash(*single), 0xbaca89902bb21af7ULL);
+  EXPECT_EQ(SectionPins(*single),
+            (std::vector<std::tuple<uint32_t, size_t, uint64_t>>{
+                {kDocumentSectionId, 672, kPaperDoc2Hash}}));
 
   auto index = text::InvertedIndex::Build(doc);
   ASSERT_TRUE(index.ok());
   auto store = text::SaveStoreToBytes(doc, &*index);
   ASSERT_TRUE(store.ok());
-  EXPECT_EQ(store->size(), 1748u);
-  EXPECT_EQ(PinHash(*store), 0x2fd91659ccdc4c48ULL);
+  EXPECT_EQ(store->size(), 1252u);
+  EXPECT_EQ(PinHash(*store), 0x820ecdfb0238fe97ULL);
+  EXPECT_EQ(SectionPins(*store),
+            (std::vector<std::tuple<uint32_t, size_t, uint64_t>>{
+                {kDocumentSectionId, 672, kPaperDoc2Hash},
+                {kTextIndexSectionId, 495, kPaperTidxHash}}));
 }
 
 TEST(StorageFormatPin, ThreeDocumentCatalogWithOneIndex) {
@@ -466,8 +544,17 @@ TEST(StorageFormatPin, ThreeDocumentCatalogWithOneIndex) {
 
   auto bytes = catalog.SaveToBytes();
   ASSERT_TRUE(bytes.ok());
-  EXPECT_EQ(bytes->size(), 331280u);
-  EXPECT_EQ(PinHash(*bytes), 0x14cab38648a8518bULL);
+  EXPECT_EQ(bytes->size(), 207020u);
+  EXPECT_EQ(PinHash(*bytes), 0x91e96b1cd3111cd5ULL);
+  // The CTLG payload changed with its codec (3 drops the per-entry DRV1
+  // reference); the documents' DOC2 and TIDX payloads did not.
+  EXPECT_EQ(SectionPins(*bytes),
+            (std::vector<std::tuple<uint32_t, size_t, uint64_t>>{
+                {kCatalogSectionId, 28, 0x4b3c40b1d4a7b9b5ULL},
+                {kDocumentSectionId, 672, kPaperDoc2Hash},
+                {kTextIndexSectionId, 495, kPaperTidxHash},
+                {kDocumentSectionId, 198216, 0x40ff863ee7c09cefULL},
+                {kDocumentSectionId, 7440, 0x0d70d47163ba93ceULL}}));
 }
 
 }  // namespace
