@@ -17,7 +17,8 @@
 //   \history          show past input lines
 //   \stats            session metrics: per-stage latency histograms
 //                     (parse/route/decode/index build/execute/merge)
-//                     and catalog counters from the process registry
+//                     and catalog and thread counters from the
+//                     process registry
 // Classic commands:
 //   .paths            path summaries of the scoped documents
 //   .stats            statistics of the scoped documents
@@ -190,7 +191,8 @@ void PrintSessionStats() {
               "lazy decodes        %llu\n"
               "text index builds   %llu\n"
               "bind values scanned %llu\n"
-              "bind postings read  %llu\n",
+              "bind postings read  %llu\n"
+              "threads started     %llu\n",
               static_cast<unsigned long long>(
                   registry.counter("meetxml_query_rows_total").Value()),
               static_cast<unsigned long long>(
@@ -206,7 +208,9 @@ void PrintSessionStats() {
                       .Value()),
               static_cast<unsigned long long>(
                   registry.counter("meetxml_query_bind_postings_total")
-                      .Value()));
+                      .Value()),
+              static_cast<unsigned long long>(
+                  registry.counter("meetxml_threads_started_total").Value()));
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 #include "model/bulk_load.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cctype>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -350,39 +349,28 @@ Result<StoredDocument> BulkShredXmlText(std::string_view xml_text,
   metrics->split_us->Record(
       static_cast<uint64_t>(split_timer.ElapsedMicros()));
 
-  // Shred every chunk on the pool, each into a thread-local builder.
+  // Shred every chunk on ParallelFor's pool, each into its own builder.
   // Chunks are wrapped in a synthetic root so the parser sees a
   // well-formed document; the wrapper is dropped during the merge.
   util::Timer shred_timer;
   std::vector<StoredDocument> shards(chunks.size());
   std::vector<Status> statuses(chunks.size(), Status::OK());
-  std::atomic<size_t> next{0};
-  auto worker = [&]() {
-    for (size_t i = next.fetch_add(1); i < chunks.size();
-         i = next.fetch_add(1)) {
-      std::string_view slice = xml_text.substr(
-          chunks[i].begin, chunks[i].end - chunks[i].begin);
-      std::string wrapped;
-      wrapped.reserve(slice.size() + 16);
-      wrapped += "<_shard>";
-      wrapped.append(slice);
-      wrapped += "</_shard>";
-      internal::ShredSink sink(options.shred);
-      Status status = xml::ParseSax(wrapped, &sink);
-      if (!status.ok()) {
-        statuses[i] = status;
-        continue;
-      }
-      shards[i] = sink.TakeUnfinalized();
+  util::ParallelFor(chunks.size(), threads, [&](size_t i) {
+    std::string_view slice = xml_text.substr(
+        chunks[i].begin, chunks[i].end - chunks[i].begin);
+    std::string wrapped;
+    wrapped.reserve(slice.size() + 16);
+    wrapped += "<_shard>";
+    wrapped.append(slice);
+    wrapped += "</_shard>";
+    internal::ShredSink sink(options.shred);
+    Status status = xml::ParseSax(wrapped, &sink);
+    if (!status.ok()) {
+      statuses[i] = status;
+      return;
     }
-  };
-  unsigned workers =
-      static_cast<unsigned>(std::min<size_t>(threads, chunks.size()));
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (unsigned t = 0; t + 1 < workers; ++t) pool.emplace_back(worker);
-  worker();
-  for (std::thread& thread : pool) thread.join();
+    shards[i] = sink.TakeUnfinalized();
+  });
   for (const Status& status : statuses) {
     if (!status.ok()) {
       // A shard failed to parse, so the document is malformed; let the

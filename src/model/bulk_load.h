@@ -36,13 +36,14 @@ namespace model {
 struct BulkLoadOptions {
   /// Shredding options, forwarded to every shard worker.
   ShredOptions shred;
-  /// Worker threads; 0 means std::thread::hardware_concurrency().
+  /// Worker threads (util::ParallelFor's width); 0 means the
+  /// hardware parallelism.
   unsigned threads = 0;
   /// Target XML bytes per shard. Shards are whole top-level subtrees,
   /// so actual shards can exceed this when a single subtree is larger.
   size_t target_chunk_bytes = size_t{1} << 20;
-  /// Inputs smaller than this skip the pipeline entirely: thread
-  /// start-up would cost more than it saves.
+  /// Inputs smaller than this skip the pipeline entirely: the split
+  /// and the merge would cost more than the parallel shred saves.
   size_t min_parallel_bytes = size_t{256} << 10;
 };
 

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <type_traits>
 
+#include "util/threads.h"
+
 namespace meetxml {
 namespace obs {
 
@@ -70,7 +72,12 @@ HistogramSummary Histogram::Summary() const {
 }
 
 MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* registry = new MetricsRegistry();
+  static MetricsRegistry* registry = [] {
+    auto* global = new MetricsRegistry();
+    global->counter("meetxml_threads_started_total").tally_ =
+        &util::ThreadsStarted;
+    return global;
+  }();
   return *registry;
 }
 

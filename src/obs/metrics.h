@@ -60,8 +60,9 @@ class Counter {
                                               std::memory_order_release);
   }
 
+  /// \brief The merged shards, plus the bound tally if any.
   uint64_t Value() const {
-    uint64_t total = 0;
+    uint64_t total = tally_ != nullptr ? tally_() : 0;
     for (const Cell& cell : cells_) {
       total += cell.value.load(std::memory_order_acquire);
     }
@@ -69,10 +70,15 @@ class Counter {
   }
 
  private:
+  friend class MetricsRegistry;
+
   struct alignas(64) Cell {
     std::atomic<uint64_t> value{0};
   };
   Cell cells_[kShardCount];
+  // A monotonic tally kept by a layer below obs (which cannot include
+  // this header), read through on every Value().
+  uint64_t (*tally_)() = nullptr;
 };
 
 /// \brief A point-in-time signed value (queue depth, active sessions,
@@ -148,6 +154,10 @@ struct NamedSummary {
 /// labels is a raw Prometheus label body like `op="query"` (may be
 /// empty); the first lookup creates the metric, later lookups return
 /// the same object. Thread-safe; returned references never move.
+///
+/// `Global()` also carries meetxml_threads_started_total, bound to
+/// util::ThreadsStarted(): the helper threads util::ParallelFor's pool
+/// has started. It grows while the pool does, then stays flat.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

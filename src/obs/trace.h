@@ -16,7 +16,9 @@
 // accumulators are atomics because the per-document stages run on the
 // fan-out pool; per-document slots are pre-sized before the fan-out
 // and each worker writes only its own index, so the vector itself
-// needs no lock (the ParallelFor join publishes the writes).
+// needs no lock: every worker's finished item is a release increment
+// of ParallelFor's `done` counter, and the caller's acquire load that
+// sees done == count publishes the writes before ParallelFor returns.
 //
 // Finished traces land in a QueryLog — a fixed-capacity ring of the
 // most recent queries with a slow-query flag — which kDump renders so

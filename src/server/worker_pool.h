@@ -7,6 +7,16 @@
 // connection never run concurrently while different connections spread
 // across the pool.
 //
+// This pool stays apart from util::ParallelFor's helper pool on
+// purpose. A dispatch job must queue when every worker is busy (a
+// strand wakeup is never dropped), while a fan-out item must never
+// wait behind one: its caller runs whatever no idle helper took. A
+// prototype that ran the fan-out helpers off a shared FIFO queue like
+// this one lowered fanout_topk's p50 by 12-19%, but on a 4-vCPU VM the
+// p99 of its 8-document ranked queries went from 476 us to 925-1,187
+// us, and the workload's p99 rose 13-30%: items queued behind other
+// queries' items. The LIFO helper pool cut p99 instead (util/threads.h).
+//
 // Instrumentation (WorkerPoolOptions::metrics): a queue-depth gauge
 // plus queue-wait and execute histograms, stamped on the pool's
 // injected clock — a saturated pool shows nonzero queue wait, an idle

@@ -113,7 +113,7 @@ Result<MultiResult> MultiExecutor::Execute(
   util::ParallelFor(names.size(), options.merge_threads, [&](size_t i) {
     // QueryTrace's stage accumulators are atomic, so concurrent
     // workers may add to kExecute; the per-doc slot is this worker's
-    // alone until the fan-out joins.
+    // alone until ParallelFor returns.
     obs::TraceSpan execute_span(
         trace, obs::Stage::kExecute,
         trace != nullptr ? &trace->doc(i)->execute_us : nullptr);

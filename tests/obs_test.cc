@@ -1,9 +1,10 @@
 // Tests for the observability layer (src/obs): histogram bucketing,
 // sharded-counter merging under threads, trace spans on an injected
-// clock, the query-log ring, the Prometheus exposition, and the worker
-// pool's queue-wait accounting. Everything timing-shaped runs on a
-// hand-stepped fake clock — no sleeps, so the pinned values are exact
-// and the suite is sanitizer-friendly.
+// clock, the query-log ring, the Prometheus exposition, the worker
+// pool's queue-wait accounting, and the helper pool's thread count.
+// Everything timing-shaped runs on a hand-stepped fake clock — no
+// sleeps, so the pinned values are exact and the suite is
+// sanitizer-friendly.
 
 #include <atomic>
 #include <cstdint>
@@ -21,6 +22,8 @@
 #include "query/parser.h"
 #include "query/path_match.h"
 #include "server/worker_pool.h"
+#include "store/catalog.h"
+#include "store/multi_executor.h"
 
 namespace meetxml {
 namespace obs {
@@ -371,6 +374,52 @@ TEST_F(ObsBindCountersTest, IcontainsScansEveryBoundStringOnce) {
   EXPECT_EQ(delta.postings, 0u);
   // No conjunct could use the index, so none was built for it.
   EXPECT_FALSE(executor->text_index_built());
+}
+
+// ---------------------------------------------------------------------------
+// Threads: util::ParallelFor's helper pool starts its threads once, so
+// a served fan-out after warm-up starts none.
+
+TEST(ObsThreadsTest, FanOutsAfterWarmUpStartNoThreads) {
+  store::Catalog catalog;
+  for (int i = 0; i < 8; ++i) {
+    data::DblpOptions options;
+    options.seed = 42 + static_cast<uint64_t>(i);
+    options.start_year = 1980 + i;
+    options.end_year = options.start_year + 1;
+    options.icde_papers_per_year = 4;
+    options.other_papers_per_year = 6;
+    options.journal_articles_per_year = 3;
+    auto xml = data::GenerateDblpXml(options);
+    ASSERT_TRUE(xml.ok()) << xml.status();
+    auto doc = model::ShredXmlText(*xml);
+    ASSERT_TRUE(doc.ok()) << doc.status();
+    ASSERT_TRUE(catalog.Add("dblp_" + std::to_string(i), std::move(*doc))
+                    .ok());
+  }
+  store::MultiExecutor multi(&catalog);
+  auto query = query::ParseQuery(
+      "SELECT MEET(a, b) FROM dblp//cdata a, dblp//cdata b "
+      "WHERE a CONTAINS 'ICDE' AND b CONTAINS '198' EXCLUDE dblp LIMIT 10");
+  ASSERT_TRUE(query.ok()) << query.status();
+  query::ExecuteOptions options;
+  options.merge_threads = 2;
+
+  Counter& started =
+      MetricsRegistry::Global().counter("meetxml_threads_started_total");
+  ASSERT_TRUE(multi.Execute("*", *query, options).ok());  // warm-up
+  const uint64_t after_warm_up = started.Value();
+  EXPECT_GE(after_warm_up, 1u);
+  for (int i = 0; i < 100; ++i) {
+    auto result = multi.Execute("*", *query, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_EQ(result->rows.size(), 10u);
+  }
+  EXPECT_EQ(started.Value(), after_warm_up);
+  EXPECT_NE(MetricsRegistry::Global().RenderPrometheus().find(
+                "meetxml_threads_started_total " +
+                std::to_string(after_warm_up) + "\n"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 // Unit tests for util: Status/Result, string helpers, the deterministic
-// RNG.
+// RNG, file mapping, and ParallelFor with its helper pool.
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -458,6 +462,130 @@ TEST(ParallelFor, DegeneratesGracefully) {
   int ran = 0;
   EXPECT_EQ(ParallelFor(10, 1, [&ran](size_t) { ++ran; }), 1u);
   EXPECT_EQ(ran, 10);
+}
+
+TEST(ParallelFor, NestedCallInsideABodyCompletes) {
+  // The inner call may find every helper busy with the outer one; its
+  // caller then runs the inner items itself instead of waiting.
+  constexpr size_t kOuter = 8;
+  constexpr size_t kInner = 16;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  ParallelFor(kOuter, 4, [&hits](size_t i) {
+    ParallelFor(kInner, 4, [&hits, i](size_t j) {
+      hits[i * kInner + j].fetch_add(1);
+    });
+  });
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ParallelFor, MoreCallersThanHelpersEachCoverEveryIndexOnce) {
+  constexpr size_t kCallers = 8;
+  constexpr size_t kCount = 500;
+  constexpr int kRounds = 20;
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& caller_hits : hits) {
+    caller_hits = std::vector<std::atomic<int>>(kCount);
+  }
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&hits, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        EXPECT_EQ(ParallelFor(kCount, 4,
+                              [&hits, c](size_t i) {
+                                hits[c][i].fetch_add(1);
+                              }),
+                  4u);
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (size_t c = 0; c < kCallers; ++c) {
+    for (size_t i = 0; i < kCount; ++i) {
+      ASSERT_EQ(hits[c][i].load(), kRounds) << "caller " << c << " index "
+                                            << i;
+    }
+  }
+}
+
+TEST(ParallelFor, ExplicitWidthGetsThatManyWorkersOnAnyMachine) {
+  // Bulk load and the catalog decode pin an 8-wide run even on fewer
+  // cores; the pool grows to hold the seven helpers that takes.
+  std::mutex mu;
+  std::set<std::thread::id> ran_on;
+  EXPECT_EQ(ParallelFor(64, 8,
+                        [&](size_t) {
+                          std::lock_guard<std::mutex> lock(mu);
+                          ran_on.insert(std::this_thread::get_id());
+                        }),
+            8u);
+  EXPECT_GE(ThreadsStarted(), 7u);
+  EXPECT_LE(ran_on.size(), 8u);
+  // The pool never shrinks and a narrower call never grows it.
+  const uint64_t started = ThreadsStarted();
+  EXPECT_EQ(ParallelFor(64, 4, [](size_t) {}), 4u);
+  EXPECT_EQ(ThreadsStarted(), started);
+}
+
+TEST(ParallelFor, SaturatedPoolStillReturnsOnlyAfterEveryIndexFinished) {
+  // Park every helper (and one caller) in a blocking body, then run a
+  // call of its own: it gets no helper, so its caller runs the items,
+  // and the blocked call still waits for the items its helpers hold.
+  const unsigned width = ResolveThreads(0) + 3;
+  std::atomic<unsigned> parked{0};
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::vector<std::atomic<int>> parked_done(width);
+  size_t unfinished_at_return = 0;
+  std::thread saturate([&] {
+    const std::thread::id blocked_caller = std::this_thread::get_id();
+    ParallelFor(width, width, [&](size_t i) {
+      parked.fetch_add(1);
+      released.wait();
+      // Helpers finish well after the caller's own item.
+      if (std::this_thread::get_id() != blocked_caller) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+      parked_done[i].store(1);
+    });
+    for (unsigned i = 0; i < width; ++i) {
+      if (parked_done[i].load() != 1) ++unfinished_at_return;
+    }
+  });
+  // In a fresh process every helper is idle and parks. A helper still
+  // idling back from an earlier test in the same process can miss the
+  // call; its share then waits on the blocked caller, so stop waiting
+  // for full saturation after a while rather than hang.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  while (parked.load() < width &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  const uint64_t started = ThreadsStarted();
+
+  const std::thread::id caller = std::this_thread::get_id();
+  constexpr size_t kCount = 64;
+  std::vector<std::atomic<int>> done(kCount);
+  EXPECT_EQ(ParallelFor(kCount, 4,
+                        [&](size_t i) {
+                          // Items off the caller finish late.
+                          if (std::this_thread::get_id() != caller) {
+                            std::this_thread::sleep_for(
+                                std::chrono::milliseconds(1));
+                          }
+                          done[i].store(1);
+                        }),
+            4u);
+  for (size_t i = 0; i < kCount; ++i) {
+    EXPECT_EQ(done[i].load(), 1) << "index " << i;
+  }
+  EXPECT_EQ(ThreadsStarted(), started);
+
+  release.set_value();
+  saturate.join();
+  EXPECT_EQ(unfinished_at_return, 0u);
 }
 
 }  // namespace
