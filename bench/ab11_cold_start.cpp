@@ -56,7 +56,7 @@ const model::StoredDocument& SharedDoc() {
     xml::SerializeOptions serialize_options;
     serialize_options.indent = 1;
     std::string xml_text = xml::Serialize(*generated, serialize_options);
-    auto shredded = model::ShredXmlTextStreaming(xml_text);
+    auto shredded = model::ShredXmlText(xml_text);
     MEETXML_CHECK_OK(shredded.status());
     return new model::StoredDocument(std::move(*shredded));
   }();
@@ -156,7 +156,7 @@ const std::string& CatalogImage(int count) {
     auto generated = data::GenerateDblp(options);
     MEETXML_CHECK_OK(generated.status());
     auto shredded =
-        model::ShredXmlTextStreaming(xml::Serialize(*generated));
+        model::ShredXmlText(xml::Serialize(*generated));
     MEETXML_CHECK_OK(shredded.status());
     MEETXML_CHECK_OK(
         catalog.Add("dblp_" + std::to_string(i), std::move(*shredded))

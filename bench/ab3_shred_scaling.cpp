@@ -1,6 +1,11 @@
 // AB3 — ablation: XML parse + Monet-transform (shred) throughput and
 // storage profile versus document size.
 //
+// Three timings per size: parsing the text into a DOM (xml::Parse),
+// shredding that DOM (model::Shred, the generators' path) and shredding
+// the text directly (model::ShredXmlText, the load path, which parses
+// into the shredder and builds no DOM); knodes/sec is ShredXmlText's.
+//
 // The paper bulk-loads DBLP into Monet XML "as described in [19]"; this
 // harness shows our substrate does the same job at scale: parse and
 // shred times should grow linearly with document size, and the path
@@ -20,8 +25,8 @@ using namespace meetxml;
 int main() {
   std::printf("# AB3: parse + shred scaling on DBLP-shaped documents\n");
   std::printf("# %-10s %10s %10s %10s %10s %10s %10s %12s\n", "papers/yr",
-              "xml_MB", "nodes", "paths", "parse_ms", "shred_ms",
-              "stream_ms", "knodes/sec");
+              "xml_MB", "nodes", "paths", "parse_ms", "dom_shr_ms",
+              "xml_shr_ms", "knodes/sec");
 
   for (int scale : {5, 15, 50, 150, 400}) {
     data::DblpOptions options;
@@ -39,24 +44,23 @@ int main() {
     MEETXML_CHECK_OK(parsed.status());
     double parse_ms = parse_timer.ElapsedMillis();
 
-    util::Timer shred_timer;
-    auto shredded = model::Shred(*parsed);
-    MEETXML_CHECK_OK(shredded.status());
-    double shred_ms = shred_timer.ElapsedMillis();
+    util::Timer dom_shred_timer;
+    auto from_dom = model::Shred(*parsed);
+    MEETXML_CHECK_OK(from_dom.status());
+    double dom_shred_ms = dom_shred_timer.ElapsedMillis();
 
-    // Streaming path: parse + shred fused, no DOM.
-    util::Timer stream_timer;
-    auto streamed = model::ShredXmlTextStreaming(xml_text);
-    MEETXML_CHECK_OK(streamed.status());
-    double stream_ms = stream_timer.ElapsedMillis();
+    util::Timer text_shred_timer;
+    auto from_text = model::ShredXmlText(xml_text);
+    MEETXML_CHECK_OK(from_text.status());
+    double text_shred_ms = text_shred_timer.ElapsedMillis();
 
     double knodes_per_sec =
-        static_cast<double>(streamed->node_count()) /
-        (stream_ms / 1000.0) / 1000.0;
+        static_cast<double>(from_text->node_count()) /
+        (text_shred_ms / 1000.0) / 1000.0;
     std::printf("  %-10d %10.1f %10zu %10zu %10.1f %10.1f %10.1f %12.0f\n",
                 scale, static_cast<double>(xml_text.size()) / 1e6,
-                shredded->node_count(), shredded->paths().size(),
-                parse_ms, shred_ms, stream_ms, knodes_per_sec);
+                from_text->node_count(), from_text->paths().size(),
+                parse_ms, dom_shred_ms, text_shred_ms, knodes_per_sec);
   }
   std::printf("# expected shape: parse+shred linear in size; path count "
               "saturates at the schema size\n");

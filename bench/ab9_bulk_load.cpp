@@ -1,7 +1,7 @@
 // AB9 — ablation: the parallel bulk-load pipeline and persisted text
 // indexes (the two halves of the MXM2 work).
 //
-// Part 1 measures parse+shred wall time: sequential streaming shredder
+// Part 1 measures parse+shred wall time: the sequential ShredXmlText
 // vs. the parallel pipeline at 1/2/4/8 threads on the ab3 corpus
 // shape. Expected shape: near-linear speedup with threads until the
 // sequential merge pass dominates (Amdahl); the thread-1 pipeline run
@@ -48,7 +48,7 @@ const std::string& SharedXml() {
 
 const model::StoredDocument& SharedDoc() {
   static model::StoredDocument* doc = [] {
-    auto shredded = model::ShredXmlTextStreaming(SharedXml());
+    auto shredded = model::ShredXmlText(SharedXml());
     MEETXML_CHECK_OK(shredded.status());
     return new model::StoredDocument(std::move(*shredded));
   }();
@@ -90,7 +90,7 @@ void BM_ShredSequential(benchmark::State& state) {
   const std::string& xml_text = SharedXml();
   size_t nodes = 0;
   for (auto _ : state) {
-    auto doc = model::ShredXmlTextStreaming(xml_text);
+    auto doc = model::ShredXmlText(xml_text);
     MEETXML_CHECK_OK(doc.status());
     nodes = doc->node_count();
     benchmark::DoNotOptimize(doc);

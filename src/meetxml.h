@@ -28,7 +28,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
-// XML parsing and serialization.
+// XML: the SAX parser the shredder consumes directly, and the DOM that
+// the generators build and reassembly and the serializer use.
 #include "xml/dom.h"
 #include "xml/escape.h"
 #include "xml/parser.h"

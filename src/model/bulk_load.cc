@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "util/file_io.h"
+#include "util/mmap_file.h"
 #include "util/threads.h"
 #include "util/timer.h"
 #include "xml/parser.h"
@@ -235,7 +235,7 @@ namespace {
 // real root. Replaying nodes in shard OID order — re-interning each
 // node's path, then its string associations in their original append
 // order — reproduces the exact Intern/Append call sequence of the
-// sequential streaming shredder, which is what makes the merged
+// sequential ShredSink, which is what makes the merged
 // document bit-identical to the sequential output. String values are
 // borrowed from the shard's per-path arenas (valid for the duration of
 // the merge) and land in the global document with one arena append
@@ -292,7 +292,7 @@ Result<StoredDocument> BulkShredXmlText(std::string_view xml_text,
                                         const BulkLoadOptions& options) {
   unsigned threads = util::ResolveThreads(options.threads);
   if (threads <= 1 || xml_text.size() < options.min_parallel_bytes) {
-    return ShredXmlTextStreaming(xml_text, options.shred);
+    return ShredXmlText(xml_text);
   }
 
   // Phase timings of the parallel path (split / shard shred / merge),
@@ -317,11 +317,11 @@ Result<StoredDocument> BulkShredXmlText(std::string_view xml_text,
   if (!split_result.ok()) {
     // Unchunkable or malformed: the sequential path either handles it
     // or diagnoses it with line/column positions.
-    return ShredXmlTextStreaming(xml_text, options.shred);
+    return ShredXmlText(xml_text);
   }
   const internal::CorpusSplit& split = *split_result;
   if (split.unit_starts.size() < 2) {
-    return ShredXmlTextStreaming(xml_text, options.shred);
+    return ShredXmlText(xml_text);
   }
 
   // Group units into chunks of roughly target_chunk_bytes, but aim for
@@ -344,7 +344,7 @@ Result<StoredDocument> BulkShredXmlText(std::string_view xml_text,
   }
   chunks.push_back(Chunk{current, split.content_end});
   if (chunks.size() < 2) {
-    return ShredXmlTextStreaming(xml_text, options.shred);
+    return ShredXmlText(xml_text);
   }
   metrics->split_us->Record(
       static_cast<uint64_t>(split_timer.ElapsedMicros()));
@@ -363,7 +363,7 @@ Result<StoredDocument> BulkShredXmlText(std::string_view xml_text,
     wrapped += "<_shard>";
     wrapped.append(slice);
     wrapped += "</_shard>";
-    internal::ShredSink sink(options.shred);
+    internal::ShredSink sink;
     Status status = xml::ParseSax(wrapped, &sink);
     if (!status.ok()) {
       statuses[i] = status;
@@ -376,35 +376,23 @@ Result<StoredDocument> BulkShredXmlText(std::string_view xml_text,
       // A shard failed to parse, so the document is malformed; let the
       // sequential parser produce the authoritative diagnosis (its
       // line/column positions refer to the original input).
-      return ShredXmlTextStreaming(xml_text, options.shred);
+      return ShredXmlText(xml_text);
     }
   }
   metrics->shred_us->Record(
       static_cast<uint64_t>(shred_timer.ElapsedMicros()));
 
-  // The real root: re-parse prolog + root start tag (+ synthesized
-  // close) so attributes are entity-decoded exactly like the parser
-  // decodes them on the sequential path.
+  // The real root: the sink shreds prolog + root start tag (+ a
+  // synthesized close), so the root's path, node and attributes come
+  // out exactly as on the sequential path.
   std::string root_doc(xml_text.substr(0, split.root_open_end));
   root_doc += "</" + split.root_tag + ">";
-  Result<xml::Document> root_parsed = xml::Parse(root_doc);
-  if (!root_parsed.ok() || !root_parsed->root ||
-      !root_parsed->root->is_element()) {
-    return ShredXmlTextStreaming(xml_text, options.shred);
+  internal::ShredSink root_sink;
+  if (!xml::ParseSax(root_doc, &root_sink).ok()) {
+    return ShredXmlText(xml_text);
   }
-  const xml::Node& root_node = *root_parsed->root;
-
-  StoredDocument global;
-  PathSummary* global_paths = global.mutable_paths();
-  PathId root_path = global_paths->Intern(bat::kInvalidPathId,
-                                          StepKind::kElement,
-                                          root_node.tag());
-  global.AppendNode(root_path, kInvalidOid, 0);
-  for (const xml::Attribute& attr : root_node.attributes()) {
-    PathId attr_path =
-        global_paths->Intern(root_path, StepKind::kAttribute, attr.name);
-    global.AppendString(attr_path, global.root(), attr.value);
-  }
+  StoredDocument global = root_sink.TakeUnfinalized();
+  const PathId root_path = global.path(global.root());
 
   util::Timer merge_timer;
   int root_next_rank = 0;
@@ -422,9 +410,10 @@ Result<StoredDocument> BulkShredXmlText(std::string_view xml_text,
 
 Result<StoredDocument> BulkShredXmlFile(const std::string& path,
                                         const BulkLoadOptions& options) {
-  MEETXML_ASSIGN_OR_RETURN(std::string content,
-                           util::ReadFileToString(path));
-  return BulkShredXmlText(content, options);
+  MEETXML_ASSIGN_OR_RETURN(
+      util::MmapFile file,
+      util::MmapFile::Open(path, util::MmapFile::Advice::kSequential));
+  return BulkShredXmlText(file.bytes(), options);
 }
 
 }  // namespace model

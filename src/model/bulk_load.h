@@ -5,19 +5,19 @@
 // shredding was the one stage of this reproduction that stayed
 // single-threaded. This module splits a corpus into shard units at
 // top-level element boundaries with a lexical scan (no parse), shreds
-// the shards on a thread pool — each worker runs the same streaming
-// ShredSink as the sequential path, into a thread-local builder — and
-// merges the shards with a deterministic OID-rebase/path-re-intern
-// replay. The merged document is bit-identical to the output of
-// ShredXmlText / ShredXmlTextStreaming (the equivalence is pinned by
+// the shards on a thread pool — each worker runs the same ShredSink as
+// the sequential path, into a thread-local builder — and merges the
+// shards with a deterministic OID-rebase/path-re-intern replay into a
+// global document whose root another ShredSink built from the prolog
+// and the root's start tag. The merged document is bit-identical to
+// the output of ShredXmlText (the equivalence is pinned by
 // byte-comparing storage images in tests/bulk_load_test.cc), so callers
 // can switch freely between the paths.
 //
 // Inputs whose top-level structure the splitter cannot chunk safely
 // (a childless root, fewer units than would pay for a thread, or any
-// structural anomaly) fall back to the sequential streaming shredder,
-// which also produces the authoritative error message for malformed
-// documents.
+// structural anomaly) fall back to ShredXmlText, which also produces
+// the authoritative error message for malformed documents.
 
 #ifndef MEETXML_MODEL_BULK_LOAD_H_
 #define MEETXML_MODEL_BULK_LOAD_H_
@@ -34,8 +34,6 @@ namespace model {
 
 /// \brief Knobs for the parallel bulk load.
 struct BulkLoadOptions {
-  /// Shredding options, forwarded to every shard worker.
-  ShredOptions shred;
   /// Worker threads (util::ParallelFor's width); 0 means the
   /// hardware parallelism.
   unsigned threads = 0;
@@ -52,7 +50,7 @@ struct BulkLoadOptions {
 util::Result<StoredDocument> BulkShredXmlText(
     std::string_view xml_text, const BulkLoadOptions& options = {});
 
-/// \brief Convenience: read file + parallel parse + shred.
+/// \brief BulkShredXmlText over a file, read through util::MmapFile.
 util::Result<StoredDocument> BulkShredXmlFile(
     const std::string& path, const BulkLoadOptions& options = {});
 

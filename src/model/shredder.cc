@@ -1,10 +1,11 @@
 #include "model/shredder.h"
 
+#include <utility>
 #include <vector>
 
+#include "util/mmap_file.h"
 #include "util/strings.h"
 #include "xml/parser.h"
-#include "xml/sax.h"
 
 namespace meetxml {
 namespace model {
@@ -12,119 +13,41 @@ namespace model {
 using util::Result;
 using util::Status;
 
-namespace {
-
-bool IsAllWhitespace(std::string_view s) {
-  return util::StripAsciiWhitespace(s).empty();
-}
-
-// Iterative DFS so that arbitrarily deep documents cannot overflow the
-// native stack. The work stack holds (dom node, its parent's OID, its
-// interned parent path, sibling rank); children are pushed in reverse so
-// they are popped — and therefore assigned OIDs — in document order.
-struct WorkItem {
-  const xml::Node* node;
-  Oid parent_oid;
-  PathId parent_path;
-  int rank;
-};
-
-}  // namespace
-
-Result<StoredDocument> Shred(const xml::Document& doc,
-                             const ShredOptions& options) {
-  if (!doc.root || !doc.root->is_element()) {
-    return Status::InvalidArgument("document has no root element");
-  }
-
-  StoredDocument stored;
-  PathSummary* paths = stored.mutable_paths();
-
-  std::vector<WorkItem> stack;
-  stack.push_back(WorkItem{doc.root.get(), kInvalidOid, kInvalidPathId, 0});
-
-  while (!stack.empty()) {
-    WorkItem item = stack.back();
-    stack.pop_back();
-    const xml::Node& node = *item.node;
-
-    if (node.is_text()) {
-      if (options.skip_whitespace_cdata && IsAllWhitespace(node.text())) {
-        continue;
-      }
-      PathId cdata_path =
-          paths->Intern(item.parent_path, StepKind::kCdata, "cdata");
-      Oid oid = stored.AppendNode(cdata_path, item.parent_oid, item.rank);
-      stored.AppendString(cdata_path, oid, node.text());
-      continue;
-    }
-    if (!node.is_element()) continue;  // comments / PIs are dropped
-
-    PathId path =
-        paths->Intern(item.parent_path, StepKind::kElement, node.tag());
-    Oid oid = stored.AppendNode(path, item.parent_oid, item.rank);
-
-    for (const xml::Attribute& attr : node.attributes()) {
-      PathId attr_path =
-          paths->Intern(path, StepKind::kAttribute, attr.name);
-      stored.AppendString(attr_path, oid, attr.value);
-    }
-
-    // Push children reversed to preserve document order on pop.
-    const auto& kids = node.children();
-    for (size_t i = kids.size(); i-- > 0;) {
-      stack.push_back(
-          WorkItem{kids[i].get(), oid, path, static_cast<int>(i)});
-    }
-  }
-
-  MEETXML_RETURN_NOT_OK(stored.Finalize());
-  return stored;
-}
-
-Result<StoredDocument> ShredXmlText(std::string_view xml_text,
-                                    const ShredOptions& options) {
-  MEETXML_ASSIGN_OR_RETURN(xml::Document doc, xml::Parse(xml_text));
-  return Shred(doc, options);
-}
-
 namespace internal {
 
-util::Status ShredSink::StartElement(std::string tag,
-                                     std::vector<xml::Attribute> attributes) {
+Status ShredSink::StartElement(
+    std::string_view tag, std::span<const xml::AttributeView> attributes) {
+  PathSummary* paths = stored_.mutable_paths();
   Frame* parent = stack_.empty() ? nullptr : &stack_.back();
-  PathId path = stored_.mutable_paths()->Intern(
+  PathId path = paths->Intern(
       parent == nullptr ? kInvalidPathId : parent->path, StepKind::kElement,
       tag);
   Oid oid =
       stored_.AppendNode(path, parent == nullptr ? kInvalidOid : parent->oid,
                          parent == nullptr ? 0 : parent->next_rank++);
-  for (xml::Attribute& attribute : attributes) {
-    PathId attr_path = stored_.mutable_paths()->Intern(
-        path, StepKind::kAttribute, attribute.name);
-    stored_.AppendString(attr_path, oid, std::move(attribute.value));
+  for (const xml::AttributeView& attribute : attributes) {
+    stored_.AppendString(
+        paths->Intern(path, StepKind::kAttribute, attribute.name), oid,
+        attribute.value);
   }
   stack_.push_back(Frame{oid, path, 0});
-  return util::Status::OK();
+  return Status::OK();
 }
 
-util::Status ShredSink::EndElement(std::string_view tag) {
+Status ShredSink::EndElement(std::string_view tag) {
   (void)tag;
   stack_.pop_back();
-  return util::Status::OK();
+  return Status::OK();
 }
 
-util::Status ShredSink::Text(std::string text) {
-  if (options_.skip_whitespace_cdata &&
-      util::StripAsciiWhitespace(text).empty()) {
-    return util::Status::OK();
-  }
+Status ShredSink::Text(std::string_view text) {
+  if (util::StripAsciiWhitespace(text).empty()) return Status::OK();
   Frame& parent = stack_.back();
   PathId cdata_path =
       stored_.mutable_paths()->Intern(parent.path, StepKind::kCdata, "cdata");
   Oid oid = stored_.AppendNode(cdata_path, parent.oid, parent.next_rank++);
-  stored_.AppendString(cdata_path, oid, std::move(text));
-  return util::Status::OK();
+  stored_.AppendString(cdata_path, oid, text);
+  return Status::OK();
 }
 
 Result<StoredDocument> ShredSink::TakeFinalized() {
@@ -134,17 +57,50 @@ Result<StoredDocument> ShredSink::TakeFinalized() {
 
 }  // namespace internal
 
-Result<StoredDocument> ShredXmlTextStreaming(std::string_view xml_text,
-                                             const ShredOptions& options) {
-  internal::ShredSink sink(options);
+Result<StoredDocument> ShredXmlText(std::string_view xml_text) {
+  internal::ShredSink sink;
   MEETXML_RETURN_NOT_OK(xml::ParseSax(xml_text, &sink));
   return sink.TakeFinalized();
 }
 
-Result<StoredDocument> ShredXmlFile(const std::string& path,
-                                    const ShredOptions& options) {
-  MEETXML_ASSIGN_OR_RETURN(xml::Document doc, xml::ParseFile(path));
-  return Shred(doc, options);
+Result<StoredDocument> ShredXmlFile(const std::string& path) {
+  MEETXML_ASSIGN_OR_RETURN(
+      util::MmapFile file,
+      util::MmapFile::Open(path, util::MmapFile::Advice::kSequential));
+  return ShredXmlText(file.bytes());
+}
+
+Result<StoredDocument> Shred(const xml::Document& doc) {
+  if (!doc.root || !doc.root->is_element()) {
+    return Status::InvalidArgument("document has no root element");
+  }
+  internal::ShredSink sink;
+  std::vector<xml::AttributeView> attributes;
+  // Iterative walk, so that arbitrarily deep documents cannot overflow
+  // the native stack: one frame per open element, holding the index of
+  // its next child.
+  std::vector<std::pair<const xml::Node*, size_t>> open;
+  auto start = [&](const xml::Node& element) {
+    attributes.clear();
+    for (const xml::Attribute& attribute : element.attributes()) {
+      attributes.push_back(xml::AttributeView{attribute.name, attribute.value});
+    }
+    open.emplace_back(&element, 0);
+    return sink.StartElement(element.tag(), attributes);
+  };
+  MEETXML_RETURN_NOT_OK(start(*doc.root));
+  while (!open.empty()) {
+    auto& [element, next] = open.back();
+    if (next == element->children().size()) {
+      MEETXML_RETURN_NOT_OK(sink.EndElement(element->tag()));
+      open.pop_back();
+      continue;
+    }
+    const xml::Node& child = *element->children()[next++];
+    MEETXML_RETURN_NOT_OK(child.is_text() ? sink.Text(child.text())
+                                          : start(child));
+  }
+  return sink.TakeFinalized();
 }
 
 }  // namespace model

@@ -1,9 +1,18 @@
-// The Monet transform: shredding a DOM tree into per-path BAT relations
+// The Monet transform: shredding XML into per-path BAT relations
 // (paper Definition 4, "bulk load" of §5's case study).
+//
+// The transform is one pass in document order. internal::ShredSink
+// takes the parser's SAX events, interns each node's path, assigns
+// OIDs densely and appends the string associations; it is the only
+// shredder. ShredXmlText and ShredXmlFile parse straight into it,
+// Shred walks a DOM into it, and the parallel bulk load
+// (model/bulk_load.h) runs one per shard.
 
 #ifndef MEETXML_MODEL_SHREDDER_H_
 #define MEETXML_MODEL_SHREDDER_H_
 
+#include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -15,56 +24,40 @@
 namespace meetxml {
 namespace model {
 
-/// \brief Shredding knobs.
-struct ShredOptions {
-  /// Skip cdata nodes whose text is all-whitespace (defensive; the parser
-  /// usually already discards them).
-  bool skip_whitespace_cdata = true;
-};
-
-/// \brief Shreds a parsed DOM into a finalized StoredDocument.
+/// \brief Parses and shreds `xml_text` into a finalized StoredDocument.
 ///
-/// OIDs are assigned in depth-first order; attributes become
-/// (element, value) associations at `<path>/@name`; each text node
+/// OIDs are assigned in document order; attributes become
+/// (element, value) associations at `<path>/@name`; each text run
 /// becomes a cdata node with its own OID plus a (cdata, text) string
-/// association at `<path>/cdata`. Comments and PIs are ignored — they
-/// are not part of the paper's data model.
-util::Result<StoredDocument> Shred(const xml::Document& doc,
-                                   const ShredOptions& options = {});
+/// association at `<path>/cdata`. Whitespace-only text is skipped, and
+/// so are comments and PIs: they are not part of the paper's data
+/// model. No DOM is built.
+util::Result<StoredDocument> ShredXmlText(std::string_view xml_text);
 
-/// \brief Convenience: parse + shred in one step.
-util::Result<StoredDocument> ShredXmlText(std::string_view xml_text,
-                                          const ShredOptions& options = {});
+/// \brief ShredXmlText over a file, read through util::MmapFile.
+util::Result<StoredDocument> ShredXmlFile(const std::string& path);
 
-/// \brief Streaming bulk load: shreds directly from the SAX event
-/// stream without materializing a DOM. Produces a document identical to
-/// ShredXmlText's but with roughly half the peak memory — the
-/// production path for large corpora (the paper bulk-loads a 200 MB
-/// file and the full DBLP).
-util::Result<StoredDocument> ShredXmlTextStreaming(
-    std::string_view xml_text, const ShredOptions& options = {});
-
-/// \brief Convenience: read file + parse + shred.
-util::Result<StoredDocument> ShredXmlFile(const std::string& path,
-                                          const ShredOptions& options = {});
+/// \brief Shreds a DOM (the data generators build documents as DOMs)
+/// by emitting its elements and text into the same sink. The result
+/// equals ShredXmlText of the serialized DOM, unless the DOM holds
+/// adjacent text nodes, which a parse would merge into one.
+util::Result<StoredDocument> Shred(const xml::Document& doc);
 
 namespace internal {
 
-/// \brief SAX sink implementing the streaming Monet transform: interns
-/// paths, assigns OIDs in document order and appends string
-/// associations exactly like the DOM shredder (tested to agree).
+/// \brief SAX sink implementing the Monet transform: interns paths,
+/// assigns OIDs in document order and appends string associations.
 ///
 /// Exposed for the bulk-load pipeline (model/bulk_load.h), which runs
 /// one sink per corpus shard and later rebases the shard relations into
-/// the global document; regular callers use ShredXmlTextStreaming.
+/// the global document; regular callers use ShredXmlText.
 class ShredSink : public xml::SaxHandler {
  public:
-  explicit ShredSink(const ShredOptions& options) : options_(options) {}
-
-  util::Status StartElement(std::string tag,
-                            std::vector<xml::Attribute> attributes) override;
+  util::Status StartElement(
+      std::string_view tag,
+      std::span<const xml::AttributeView> attributes) override;
   util::Status EndElement(std::string_view tag) override;
-  util::Status Text(std::string text) override;
+  util::Status Text(std::string_view text) override;
 
   /// \brief Finalized document, ready for queries (the normal path).
   util::Result<StoredDocument> TakeFinalized();
@@ -81,7 +74,6 @@ class ShredSink : public xml::SaxHandler {
     int next_rank;
   };
 
-  ShredOptions options_;
   StoredDocument stored_;
   std::vector<Frame> stack_;
 };

@@ -15,21 +15,6 @@ std::unique_ptr<Node> Node::MakeText(std::string text) {
   return node;
 }
 
-std::unique_ptr<Node> Node::MakeComment(std::string text) {
-  auto node = std::unique_ptr<Node>(new Node(NodeKind::kComment));
-  node->text_ = std::move(text);
-  return node;
-}
-
-std::unique_ptr<Node> Node::MakeProcessingInstruction(std::string target,
-                                                      std::string data) {
-  auto node =
-      std::unique_ptr<Node>(new Node(NodeKind::kProcessingInstruction));
-  node->tag_ = std::move(target);
-  node->text_ = std::move(data);
-  return node;
-}
-
 void Node::AddAttribute(std::string name, std::string value) {
   attributes_.push_back(Attribute{std::move(name), std::move(value)});
 }
@@ -76,18 +61,9 @@ const Node* Node::FindChild(std::string_view tag) const {
 }
 
 std::string Node::CollectText() const {
+  if (is_text()) return text_;
   std::string out;
-  if (is_text()) {
-    out = text_;
-    return out;
-  }
-  for (const auto& child : children_) {
-    if (child->is_text()) {
-      out.append(child->text());
-    } else if (child->is_element()) {
-      out.append(child->CollectText());
-    }
-  }
+  for (const auto& child : children_) out.append(child->CollectText());
   return out;
 }
 

@@ -1,10 +1,11 @@
 // A minimal owned DOM for parsed XML documents.
 //
-// The DOM is the hand-off format between the parser (xml/parser.h) and the
-// Monet-transform shredder (model/shredder.h); it is deliberately simple —
-// no namespaces resolution, no DTD — matching the paper's data model
-// (Definition 1): elements with attributes, character data, and sibling
-// order.
+// The data generators build documents as DOMs, reassembly answers with
+// them, and the serializer prints them; the shredder walks one only for
+// the generators (model/shredder.h). It is deliberately simple — no
+// namespaces resolution, no DTD, no comments or processing
+// instructions — matching the paper's data model (Definition 1):
+// elements with attributes, character data, and sibling order.
 
 #ifndef MEETXML_XML_DOM_H_
 #define MEETXML_XML_DOM_H_
@@ -20,9 +21,7 @@ namespace xml {
 /// \brief Kind of a DOM node.
 enum class NodeKind {
   kElement,
-  kText,     // character data (PCDATA and CDATA sections, merged)
-  kComment,  // kept so serialization can round-trip
-  kProcessingInstruction,
+  kText,  // character data (PCDATA and CDATA sections, merged)
 };
 
 /// \brief One attribute (name="value"), in document order.
@@ -38,11 +37,6 @@ class Node {
   static std::unique_ptr<Node> MakeElement(std::string tag);
   /// \brief Creates a text (character data) node.
   static std::unique_ptr<Node> MakeText(std::string text);
-  /// \brief Creates a comment node (content without `<!--`/`-->`).
-  static std::unique_ptr<Node> MakeComment(std::string text);
-  /// \brief Creates a processing-instruction node.
-  static std::unique_ptr<Node> MakeProcessingInstruction(std::string target,
-                                                         std::string data);
 
   NodeKind kind() const { return kind_; }
   bool is_element() const { return kind_ == NodeKind::kElement; }
@@ -50,10 +44,8 @@ class Node {
 
   /// \brief Element tag name; empty for non-elements.
   const std::string& tag() const { return tag_; }
-  /// \brief Text content for text/comment nodes; PI data for PIs.
+  /// \brief Text content of a text node; empty for elements.
   const std::string& text() const { return text_; }
-  /// \brief PI target; empty otherwise.
-  const std::string& pi_target() const { return tag_; }
 
   const std::vector<Attribute>& attributes() const { return attributes_; }
   const std::vector<std::unique_ptr<Node>>& children() const {
@@ -63,7 +55,7 @@ class Node {
   std::vector<std::unique_ptr<Node>>* mutable_children() {
     return &children_;
   }
-  /// \brief Replaces the text content of a text/comment node.
+  /// \brief Replaces the text content of a text node.
   void set_text(std::string text) { text_ = std::move(text); }
 
   /// \brief Appends an attribute; does not check for duplicates (the
@@ -93,15 +85,15 @@ class Node {
   /// \brief Concatenation of all descendant text, in document order.
   std::string CollectText() const;
 
-  /// \brief Total number of nodes in this subtree (all kinds).
+  /// \brief Total number of nodes in this subtree (both kinds).
   size_t SubtreeSize() const;
 
  private:
   explicit Node(NodeKind kind) : kind_(kind) {}
 
   NodeKind kind_;
-  std::string tag_;   // element tag or PI target
-  std::string text_;  // text/comment content or PI data
+  std::string tag_;   // element tag
+  std::string text_;  // text content
   std::vector<Attribute> attributes_;
   std::vector<std::unique_ptr<Node>> children_;
 };

@@ -2,6 +2,8 @@
 
 #include <cctype>
 
+#include "util/result.h"
+
 namespace meetxml {
 namespace xml {
 
@@ -155,19 +157,16 @@ Result<size_t> DecodeOneEntity(std::string_view s, size_t pos,
 }
 }  // namespace
 
-Result<std::string> DecodeEntities(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+Status DecodeEntities(std::string_view s, std::string* out) {
   size_t i = 0;
   while (i < s.size()) {
-    if (s[i] == '&') {
-      MEETXML_ASSIGN_OR_RETURN(i, DecodeOneEntity(s, i, &out));
-    } else {
-      out.push_back(s[i]);
-      ++i;
-    }
+    size_t amp = s.find('&', i);
+    if (amp == std::string_view::npos) amp = s.size();
+    out->append(s.substr(i, amp - i));
+    if (amp == s.size()) break;
+    MEETXML_ASSIGN_OR_RETURN(i, DecodeOneEntity(s, amp, out));
   }
-  return out;
+  return Status::OK();
 }
 
 namespace {

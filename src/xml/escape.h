@@ -6,7 +6,7 @@
 #include <string>
 #include <string_view>
 
-#include "util/result.h"
+#include "util/status.h"
 
 namespace meetxml {
 namespace xml {
@@ -19,9 +19,10 @@ std::string EscapeText(std::string_view s);
 std::string EscapeAttribute(std::string_view s);
 
 /// \brief Decodes the five predefined entities plus decimal/hex character
-/// references in `s`. Unknown entities are an error (this parser is
-/// non-validating and has no DTD-defined entities).
-util::Result<std::string> DecodeEntities(std::string_view s);
+/// references in `s` and appends the result to `out`. Unknown entities
+/// are an error (this parser is non-validating and has no DTD-defined
+/// entities); on error `out` holds a partial decode.
+util::Status DecodeEntities(std::string_view s, std::string* out);
 
 /// \brief Appends the UTF-8 encoding of `codepoint` to `out`. Returns
 /// false for invalid code points (surrogates, > U+10FFFF).

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <vector>
 
-#include "util/file_io.h"
 #include "util/strings.h"
 #include "xml/escape.h"
 #include "xml/sax.h"
@@ -115,14 +114,13 @@ class ParserImpl {
     while (true) {
       cursor_.SkipWhitespace();
       if (cursor_.LooksAt("<!--")) {
-        MEETXML_RETURN_NOT_OK(ParseComment(/*in_content=*/false));
+        MEETXML_RETURN_NOT_OK(SkipComment());
       } else if (cursor_.LooksAt("<!DOCTYPE")) {
         if (had_doctype_) return cursor_.Error("duplicate DOCTYPE");
         MEETXML_RETURN_NOT_OK(SkipDoctype());
         had_doctype_ = true;
       } else if (cursor_.LooksAt("<?")) {
-        MEETXML_RETURN_NOT_OK(
-            ParseProcessingInstruction(/*in_content=*/false));
+        MEETXML_RETURN_NOT_OK(SkipProcessingInstruction());
       } else {
         break;
       }
@@ -138,10 +136,9 @@ class ParserImpl {
       cursor_.SkipWhitespace();
       if (cursor_.AtEnd()) return Status::OK();
       if (cursor_.LooksAt("<!--")) {
-        MEETXML_RETURN_NOT_OK(ParseComment(/*in_content=*/false));
+        MEETXML_RETURN_NOT_OK(SkipComment());
       } else if (cursor_.LooksAt("<?")) {
-        MEETXML_RETURN_NOT_OK(
-            ParseProcessingInstruction(/*in_content=*/false));
+        MEETXML_RETURN_NOT_OK(SkipProcessingInstruction());
       } else {
         return cursor_.Error("unexpected content after root element");
       }
@@ -158,7 +155,7 @@ class ParserImpl {
       }
       if (cursor_.Peek() == '<') {
         if (cursor_.LooksAt("<!--")) {
-          MEETXML_RETURN_NOT_OK(ParseComment(/*in_content=*/true));
+          MEETXML_RETURN_NOT_OK(SkipComment());
           continue;
         }
         if (cursor_.LooksAt("<![CDATA[")) {
@@ -166,8 +163,7 @@ class ParserImpl {
           continue;
         }
         if (cursor_.LooksAt("<?")) {
-          MEETXML_RETURN_NOT_OK(
-              ParseProcessingInstruction(/*in_content=*/true));
+          MEETXML_RETURN_NOT_OK(SkipProcessingInstruction());
           continue;
         }
         if (cursor_.LooksAt("</")) {
@@ -185,7 +181,7 @@ class ParserImpl {
     return Status::OK();
   }
 
-  Result<std::string> ParseName() {
+  Result<std::string_view> ParseName() {
     size_t begin = cursor_.pos();
     while (!cursor_.AtEnd()) {
       char c = cursor_.Peek();
@@ -195,7 +191,7 @@ class ParserImpl {
       }
       cursor_.Advance();
     }
-    std::string name(cursor_.Slice(begin, cursor_.pos()));
+    std::string_view name = cursor_.Slice(begin, cursor_.pos());
     if (!IsValidName(name)) {
       return cursor_.Error("invalid name: '", name, "'");
     }
@@ -208,15 +204,17 @@ class ParserImpl {
     }
     MEETXML_RETURN_NOT_OK(FlushText());
     cursor_.Advance();  // '<'
-    MEETXML_ASSIGN_OR_RETURN(std::string tag, ParseName());
-    std::vector<Attribute> attributes;
+    MEETXML_ASSIGN_OR_RETURN(std::string_view tag, ParseName());
+    attributes_.clear();
+    decoded_.clear();
+    scratch_.clear();
 
     while (true) {
       cursor_.SkipWhitespace();
       if (cursor_.AtEnd()) return cursor_.Error("unterminated start tag");
       char c = cursor_.Peek();
       if (c == '>' || c == '/') break;
-      MEETXML_ASSIGN_OR_RETURN(std::string name, ParseName());
+      MEETXML_ASSIGN_OR_RETURN(std::string_view name, ParseName());
       cursor_.SkipWhitespace();
       if (!cursor_.ConsumeIf("=")) {
         return cursor_.Error("expected '=' after attribute name '", name,
@@ -241,17 +239,28 @@ class ParserImpl {
         return cursor_.Error("unterminated attribute value for '", name,
                              "'");
       }
-      std::string_view raw = cursor_.Slice(begin, cursor_.pos());
+      std::string_view value = cursor_.Slice(begin, cursor_.pos());
       cursor_.Advance();  // closing quote
-      auto decoded = DecodeEntities(raw);
-      if (!decoded.ok()) return cursor_.Error(decoded.status().message());
-      for (const Attribute& existing : attributes) {
+      if (value.find('&') != std::string_view::npos) {
+        // Decoded into the scratch buffer, which may still grow: the
+        // view is built once every attribute is decoded.
+        size_t decoded_begin = scratch_.size();
+        Status decoded = DecodeEntities(value, &scratch_);
+        if (!decoded.ok()) return cursor_.Error(decoded.message());
+        decoded_.push_back(
+            DecodedValue{attributes_.size(), decoded_begin, scratch_.size()});
+        value = {};
+      }
+      for (const AttributeView& existing : attributes_) {
         if (existing.name == name) {
           return cursor_.Error("duplicate attribute '", name, "'");
         }
       }
-      attributes.push_back(
-          Attribute{std::move(name), std::move(decoded).ValueOrDie()});
+      attributes_.push_back(AttributeView{name, value});
+    }
+    for (const DecodedValue& decoded : decoded_) {
+      attributes_[decoded.attribute].value = std::string_view(scratch_).substr(
+          decoded.begin, decoded.end - decoded.begin);
     }
 
     bool self_closing = cursor_.ConsumeIf("/");
@@ -260,7 +269,7 @@ class ParserImpl {
     }
 
     root_seen_ = true;
-    MEETXML_RETURN_NOT_OK(handler_->StartElement(tag, std::move(attributes)));
+    MEETXML_RETURN_NOT_OK(handler_->StartElement(tag, attributes_));
     if (self_closing) {
       MEETXML_RETURN_NOT_OK(handler_->EndElement(tag));
       if (tag_stack_.empty()) *root_closed = true;
@@ -270,14 +279,14 @@ class ParserImpl {
       return Status::ResourceExhausted("element nesting exceeds limit of ",
                                        options_.max_depth);
     }
-    tag_stack_.push_back(std::move(tag));
+    tag_stack_.push_back(tag);
     return Status::OK();
   }
 
   Status ParseCloseTag(bool* root_closed) {
     MEETXML_RETURN_NOT_OK(FlushText());
     cursor_.AdvanceBy(2);  // '</'
-    MEETXML_ASSIGN_OR_RETURN(std::string tag, ParseName());
+    MEETXML_ASSIGN_OR_RETURN(std::string_view tag, ParseName());
     cursor_.SkipWhitespace();
     if (!cursor_.ConsumeIf(">")) {
       return cursor_.Error("expected '>' in closing tag '</", tag, "'");
@@ -308,10 +317,12 @@ class ParserImpl {
       return Status::OK();
     }
     std::string_view raw = cursor_.Slice(begin, cursor_.pos());
-    auto decoded = DecodeEntities(raw);
-    if (!decoded.ok()) return cursor_.Error(decoded.status().message());
-    pending_text_ += *decoded;
-    has_pending_text_ = true;
+    if (raw.find('&') == std::string_view::npos) {
+      AddTextRun(raw);
+      return Status::OK();
+    }
+    Status decoded = DecodeEntities(raw, BufferedText());
+    if (!decoded.ok()) return cursor_.Error(decoded.message());
     return Status::OK();
   }
 
@@ -325,10 +336,31 @@ class ParserImpl {
       if (cursor_.AtEnd()) return cursor_.Error("unterminated CDATA section");
       cursor_.Advance();
     }
-    pending_text_.append(cursor_.Slice(begin, cursor_.pos()));
-    has_pending_text_ = true;
+    AddTextRun(cursor_.Slice(begin, cursor_.pos()));
     cursor_.AdvanceBy(3);  // ']]>'
     return Status::OK();
+  }
+
+  // Adds a run that needs no decoding to the pending text. A lone run
+  // stays a view into the input; only a second run forces a copy.
+  void AddTextRun(std::string_view run) {
+    if (!has_pending_text_) {
+      pending_view_ = run;
+      has_pending_text_ = true;
+      return;
+    }
+    BufferedText()->append(run);
+  }
+
+  // The pending text, moved into the reused buffer so that more can be
+  // appended to it.
+  std::string* BufferedText() {
+    if (!text_buffered_) {
+      pending_text_.assign(pending_view_);
+      text_buffered_ = true;
+    }
+    has_pending_text_ = true;
+    return &pending_text_;
   }
 
   // Emits the accumulated PCDATA/CDATA run as one Text event. The merge
@@ -336,50 +368,39 @@ class ParserImpl {
   // between PCDATA and CDATA".
   Status FlushText() {
     if (!has_pending_text_) return Status::OK();
-    std::string text = std::move(pending_text_);
-    pending_text_.clear();
+    std::string_view text =
+        text_buffered_ ? std::string_view(pending_text_) : pending_view_;
     has_pending_text_ = false;
-    return handler_->Text(std::move(text));
+    text_buffered_ = false;
+    pending_view_ = {};
+    return handler_->Text(text);
   }
 
-  Status ParseComment(bool in_content) {
+  // Comments and PIs are checked and dropped; a dropped one does not
+  // split the text run around it.
+  Status SkipComment() {
     cursor_.AdvanceBy(4);  // '<!--'
-    size_t begin = cursor_.pos();
     while (!cursor_.LooksAt("-->")) {
       if (cursor_.AtEnd()) return cursor_.Error("unterminated comment");
-      if (cursor_.LooksAt("--") && !cursor_.LooksAt("-->")) {
+      if (cursor_.LooksAt("--")) {
         return cursor_.Error("'--' not allowed inside comment");
       }
       cursor_.Advance();
     }
-    std::string content(cursor_.Slice(begin, cursor_.pos()));
     cursor_.AdvanceBy(3);
-    if (options_.keep_comments && in_content) {
-      // A kept comment separates text runs; a dropped one does not.
-      MEETXML_RETURN_NOT_OK(FlushText());
-      return handler_->Comment(std::move(content));
-    }
     return Status::OK();
   }
 
-  Status ParseProcessingInstruction(bool in_content) {
+  Status SkipProcessingInstruction() {
     cursor_.AdvanceBy(2);  // '<?'
-    MEETXML_ASSIGN_OR_RETURN(std::string target, ParseName());
-    cursor_.SkipWhitespace();
-    size_t begin = cursor_.pos();
+    MEETXML_RETURN_NOT_OK(ParseName().status());
     while (!cursor_.LooksAt("?>")) {
       if (cursor_.AtEnd()) {
         return cursor_.Error("unterminated processing instruction");
       }
       cursor_.Advance();
     }
-    std::string data(cursor_.Slice(begin, cursor_.pos()));
     cursor_.AdvanceBy(2);
-    if (options_.keep_processing_instructions && in_content) {
-      MEETXML_RETURN_NOT_OK(FlushText());
-      return handler_->ProcessingInstruction(std::move(target),
-                                             std::move(data));
-    }
     return Status::OK();
   }
 
@@ -401,26 +422,44 @@ class ParserImpl {
     return cursor_.Error("unterminated DOCTYPE");
   }
 
+  // Where a decoded attribute value sits in scratch_.
+  struct DecodedValue {
+    size_t attribute;
+    size_t begin;
+    size_t end;
+  };
+
   Cursor cursor_;
   ParseOptions options_;
   SaxHandler* handler_;
-  std::vector<std::string> tag_stack_;
+  // Open tags, as views into the input.
+  std::vector<std::string_view> tag_stack_;
+  // The current start tag's attributes and the buffer that holds the
+  // decoded values among them; all three are reused across elements.
+  std::vector<AttributeView> attributes_;
+  std::vector<DecodedValue> decoded_;
+  std::string scratch_;
+  // Pending character data: a view into the input while it is one run
+  // that needs no decoding, else the reused buffer.
+  std::string_view pending_view_;
   std::string pending_text_;
   bool has_pending_text_ = false;
+  bool text_buffered_ = false;
   bool root_seen_ = false;
   std::string declaration_;
   bool had_doctype_ = false;
 };
 
-// Builds a DOM from the event stream.
+// Builds a DOM from the event stream, copying the borrowed views into
+// owned nodes.
 class DomSink : public SaxHandler {
  public:
-  Status StartElement(std::string tag,
-                      std::vector<Attribute> attributes) override {
-    auto element = Node::MakeElement(std::move(tag));
-    for (Attribute& attribute : attributes) {
-      element->AddAttribute(std::move(attribute.name),
-                            std::move(attribute.value));
+  Status StartElement(std::string_view tag,
+                      std::span<const AttributeView> attributes) override {
+    auto element = Node::MakeElement(std::string(tag));
+    for (const AttributeView& attribute : attributes) {
+      element->AddAttribute(std::string(attribute.name),
+                            std::string(attribute.value));
     }
     Node* placed;
     if (stack_.empty()) {
@@ -439,21 +478,8 @@ class DomSink : public SaxHandler {
     return Status::OK();
   }
 
-  Status Text(std::string text) override {
-    stack_.back()->AddText(std::move(text));
-    return Status::OK();
-  }
-
-  Status Comment(std::string text) override {
-    stack_.back()->AddChild(Node::MakeComment(std::move(text)));
-    return Status::OK();
-  }
-
-  Status ProcessingInstruction(std::string target,
-                               std::string data) override {
-    stack_.back()->AddChild(
-        Node::MakeProcessingInstruction(std::move(target),
-                                        std::move(data)));
+  Status Text(std::string_view text) override {
+    stack_.back()->AddText(std::string(text));
     return Status::OK();
   }
 
@@ -481,13 +507,6 @@ Result<Document> Parse(std::string_view input, const ParseOptions& options) {
   doc.declaration = impl.declaration();
   doc.had_doctype = impl.had_doctype();
   return doc;
-}
-
-Result<Document> ParseFile(const std::string& path,
-                           const ParseOptions& options) {
-  MEETXML_ASSIGN_OR_RETURN(std::string content,
-                           util::ReadFileToString(path));
-  return Parse(content, options);
 }
 
 }  // namespace xml

@@ -2,8 +2,10 @@
 //
 // Supports the subset of XML the paper's workloads need (and a bit more):
 // elements, attributes, PCDATA with the five predefined entities and
-// numeric character references, CDATA sections, comments, processing
-// instructions, an XML declaration, and a skipped DOCTYPE. It rejects
+// numeric character references, CDATA sections, an XML declaration,
+// and comments, processing instructions and a DOCTYPE, which are
+// checked and skipped: they are not part of the paper's data model, so
+// neither the DOM nor the event stream carries them. It rejects
 // mismatched tags, duplicate attributes and malformed markup with
 // line/column error positions. DTD-defined entities and namespaces
 // processing are out of scope — tag names keep their prefixes verbatim,
@@ -26,10 +28,6 @@ struct ParseOptions {
   /// oriented XML (bibliographies, feature files) is indented for humans;
   /// the indentation is not character data the paper's model cares about.
   bool discard_whitespace_text = true;
-  /// Keep comment nodes in the DOM (they never reach the Monet transform).
-  bool keep_comments = false;
-  /// Keep processing-instruction nodes in the DOM.
-  bool keep_processing_instructions = false;
   /// Maximum element nesting depth; guards against stack abuse in
   /// adversarial inputs. The parser itself is iterative, so this is a
   /// resource limit, not a recursion limit.
@@ -47,10 +45,6 @@ util::Result<Document> Parse(std::string_view input,
 /// declaration, DOCTYPE) is validated but not reported.
 util::Status ParseSax(std::string_view input, SaxHandler* handler,
                       const ParseOptions& options = {});
-
-/// \brief Reads and parses a file.
-util::Result<Document> ParseFile(const std::string& path,
-                                 const ParseOptions& options = {});
 
 }  // namespace xml
 }  // namespace meetxml

@@ -1,31 +1,38 @@
 // Event-based (SAX-style) parsing interface.
 //
 // The DOM parser (xml/parser.h) is a thin sink over this event stream;
-// bulk loaders that do not need a DOM — like the streaming Monet
-// transform in model/shredder.h — consume the events directly and never
-// materialize the tree, which roughly halves peak memory for large
-// documents.
+// the Monet transform (model/shredder.h) consumes the events directly
+// and never materializes the tree. Events borrow: tags, attributes and
+// text are views into the input or into the parser's reused buffers,
+// so a parse allocates nothing per event.
 
 #ifndef MEETXML_XML_SAX_H_
 #define MEETXML_XML_SAX_H_
 
-#include <string>
+#include <span>
 #include <string_view>
-#include <vector>
 
 #include "util/status.h"
-#include "xml/dom.h"
 
 namespace meetxml {
 namespace xml {
+
+/// \brief One decoded attribute (name="value") of a StartElement event.
+struct AttributeView {
+  std::string_view name;
+  std::string_view value;
+};
 
 /// \brief Receiver of parse events. Every callback may return a non-OK
 /// Status to abort the parse; the status is propagated to the caller.
 ///
 /// Guarantees: events are well nested (EndElement always matches the
 /// innermost open StartElement; tags are verified by the parser);
-/// adjacent PCDATA and CDATA runs are merged into a single Text event;
-/// whitespace-only text is dropped when the parse options say so.
+/// adjacent PCDATA and CDATA runs are merged into a single Text event,
+/// also across the comments and processing instructions the parser
+/// drops; whitespace-only PCDATA is dropped when the parse options say
+/// so. Every view passed to a callback is valid only for the duration
+/// of that call: a handler that keeps a value copies it.
 class SaxHandler {
  public:
   virtual ~SaxHandler() = default;
@@ -35,10 +42,10 @@ class SaxHandler {
   /// \brief Called once after the root element closed.
   virtual util::Status EndDocument() { return util::Status::OK(); }
 
-  /// \brief An element opened. `attributes` are decoded and
-  /// duplicate-free; ownership moves to the handler.
-  virtual util::Status StartElement(std::string tag,
-                                    std::vector<Attribute> attributes) {
+  /// \brief An element opened. `attributes` are decoded, in document
+  /// order and duplicate-free.
+  virtual util::Status StartElement(
+      std::string_view tag, std::span<const AttributeView> attributes) {
     (void)tag;
     (void)attributes;
     return util::Status::OK();
@@ -50,24 +57,10 @@ class SaxHandler {
     return util::Status::OK();
   }
 
-  /// \brief A merged character-data run inside the current element.
-  virtual util::Status Text(std::string text) {
+  /// \brief A merged, decoded character-data run inside the current
+  /// element.
+  virtual util::Status Text(std::string_view text) {
     (void)text;
-    return util::Status::OK();
-  }
-
-  /// \brief A comment (only when ParseOptions::keep_comments).
-  virtual util::Status Comment(std::string text) {
-    (void)text;
-    return util::Status::OK();
-  }
-
-  /// \brief A processing instruction (only when
-  /// ParseOptions::keep_processing_instructions).
-  virtual util::Status ProcessingInstruction(std::string target,
-                                             std::string data) {
-    (void)target;
-    (void)data;
     return util::Status::OK();
   }
 };

@@ -15,28 +15,9 @@ void AppendIndent(std::string* out, int indent, int depth) {
 
 void SerializeNode(const Node& node, const SerializeOptions& options,
                    int depth, std::string* out) {
-  switch (node.kind()) {
-    case NodeKind::kText:
-      out->append(EscapeText(node.text()));
-      return;
-    case NodeKind::kComment:
-      AppendIndent(out, options.indent, depth);
-      out->append("<!--");
-      out->append(node.text());
-      out->append("-->");
-      return;
-    case NodeKind::kProcessingInstruction:
-      AppendIndent(out, options.indent, depth);
-      out->append("<?");
-      out->append(node.pi_target());
-      if (!node.text().empty()) {
-        out->push_back(' ');
-        out->append(node.text());
-      }
-      out->append("?>");
-      return;
-    case NodeKind::kElement:
-      break;
+  if (node.is_text()) {
+    out->append(EscapeText(node.text()));
+    return;
   }
 
   AppendIndent(out, options.indent, depth);

@@ -17,12 +17,14 @@
 #include "text/index_io.h"
 #include "text/search.h"
 #include "tests/test_util.h"
+#include "util/file_io.h"
 #include "xml/serializer.h"
 
 namespace meetxml {
 namespace model {
 namespace {
 
+using meetxml::testing::MustImage;
 using meetxml::testing::MustShred;
 
 // Forces the pipeline on, regardless of corpus size and machine:
@@ -33,12 +35,6 @@ BulkLoadOptions Forced(unsigned threads, size_t chunk_bytes = 512) {
   options.target_chunk_bytes = chunk_bytes;
   options.min_parallel_bytes = 0;
   return options;
-}
-
-std::string MustImage(const StoredDocument& doc) {
-  auto bytes = SaveToBytes(doc);
-  EXPECT_TRUE(bytes.ok()) << bytes.status();
-  return bytes.ok() ? *bytes : std::string();
 }
 
 // The pipeline's contract: bit-identical to the sequential shredder.
@@ -102,6 +98,35 @@ TEST(BulkLoad, RejectsMalformedInput) {
     auto result = BulkShredXmlText(bad, Forced(4));
     EXPECT_FALSE(result.ok()) << "input: " << bad;
   }
+}
+
+TEST(BulkLoad, FilesShredLikeTheirText) {
+  data::DblpOptions options;
+  options.end_year = 1985;
+  auto xml_text = data::GenerateDblpXml(options);
+  ASSERT_TRUE(xml_text.ok());
+  meetxml::testing::TempFile file("corpus.xml");
+  MEETXML_CHECK_OK(util::WriteFileAtomic(file.path(), *xml_text));
+  const std::string expected = MustImage(MustShred(*xml_text));
+
+  auto sequential = ShredXmlFile(file.path());
+  ASSERT_TRUE(sequential.ok()) << sequential.status();
+  EXPECT_EQ(MustImage(*sequential), expected);
+  auto parallel = BulkShredXmlFile(file.path(), Forced(2, 4096));
+  ASSERT_TRUE(parallel.ok()) << parallel.status();
+  EXPECT_EQ(MustImage(*parallel), expected);
+}
+
+TEST(BulkLoad, MissingOrEmptyFilesFail) {
+  meetxml::testing::TempFile missing("missing.xml");
+  EXPECT_TRUE(ShredXmlFile(missing.path()).status().IsNotFound());
+  EXPECT_TRUE(BulkShredXmlFile(missing.path()).status().IsNotFound());
+
+  meetxml::testing::TempFile empty("empty.xml");
+  MEETXML_CHECK_OK(util::WriteFileAtomic(empty.path(), ""));
+  EXPECT_TRUE(ShredXmlFile(empty.path()).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      BulkShredXmlFile(empty.path(), Forced(2)).status().IsInvalidArgument());
 }
 
 TEST(BulkLoadSplit, FindsTopLevelUnits) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "data/dblp_gen.h"
+#include "data/multimedia_gen.h"
 #include "data/paper_example.h"
 #include "data/random_tree.h"
 #include "model/path_summary.h"
@@ -16,6 +18,7 @@ namespace meetxml {
 namespace model {
 namespace {
 
+using meetxml::testing::MustImage;
 using meetxml::testing::MustShred;
 
 // ---- PathSummary ----------------------------------------------------
@@ -233,30 +236,43 @@ TEST(Shredder, MonetTransformMatchesPaperRelations) {
   EXPECT_EQ(doc.StringsAt(firstname_cdata).tail(0), "Ben");
 }
 
-// ---- Streaming shredder -----------------------------------------------
+// ---- One transform ------------------------------------------------------
+//
+// Shred walks a DOM into the same sink that ShredXmlText parses into,
+// so a generated DOM and its serialization must give byte-identical
+// storage images.
+
+void ExpectDomAndTextShredAlike(const xml::Document& doc) {
+  auto from_dom = Shred(doc);
+  ASSERT_TRUE(from_dom.ok()) << from_dom.status();
+  auto from_text = ShredXmlText(xml::Serialize(doc));
+  ASSERT_TRUE(from_text.ok()) << from_text.status();
+  EXPECT_EQ(from_text->node_count(), from_dom->node_count());
+  EXPECT_EQ(MustImage(*from_text), MustImage(*from_dom));
+}
 
 TEST(StreamingShredder, AgreesWithDomShredderOnPaperExample) {
-  auto dom = ShredXmlText(data::PaperExampleXml());
-  auto streamed = ShredXmlTextStreaming(data::PaperExampleXml());
-  ASSERT_TRUE(dom.ok() && streamed.ok());
-  ASSERT_EQ(streamed->node_count(), dom->node_count());
-  ASSERT_EQ(streamed->string_count(), dom->string_count());
-  ASSERT_EQ(streamed->paths().size(), dom->paths().size());
-  for (bat::Oid oid = 0; oid < dom->node_count(); ++oid) {
-    EXPECT_EQ(streamed->parent(oid), dom->parent(oid));
-    EXPECT_EQ(streamed->path(oid), dom->path(oid));
-    EXPECT_EQ(streamed->rank(oid), dom->rank(oid));
-  }
-  auto dom_xml = ReassembleToXml(*dom, dom->root(), 0);
-  auto streamed_xml = ReassembleToXml(*streamed, streamed->root(), 0);
-  ASSERT_TRUE(dom_xml.ok() && streamed_xml.ok());
-  EXPECT_EQ(*streamed_xml, *dom_xml);
+  auto parsed = xml::Parse(data::PaperExampleXml());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ExpectDomAndTextShredAlike(*parsed);
 }
 
 TEST(StreamingShredder, PropagatesParseErrors) {
-  auto result = ShredXmlTextStreaming("<a><b></a>");
+  auto result = ShredXmlText("<a><b></a>");
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());
+}
+
+TEST(StreamingAgreement, DefaultDblpShredsIdentically) {
+  auto generated = data::GenerateDblp(data::DblpOptions{});
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  ExpectDomAndTextShredAlike(*generated);
+}
+
+TEST(StreamingAgreement, MultimediaShredsIdentically) {
+  auto corpus = data::GenerateMultimedia(data::MultimediaOptions{});
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  ExpectDomAndTextShredAlike(corpus->doc);
 }
 
 class StreamingAgreement : public ::testing::TestWithParam<uint64_t> {};
@@ -267,15 +283,7 @@ TEST_P(StreamingAgreement, RandomTreesShredIdentically) {
   options.target_elements = 300;
   auto generated = data::GenerateRandomTree(options);
   ASSERT_TRUE(generated.ok());
-  std::string xml_text = xml::Serialize(*generated->root);
-
-  auto dom = ShredXmlText(xml_text);
-  auto streamed = ShredXmlTextStreaming(xml_text);
-  ASSERT_TRUE(dom.ok() && streamed.ok());
-  auto dom_xml = ReassembleToXml(*dom, dom->root(), 0);
-  auto streamed_xml = ReassembleToXml(*streamed, streamed->root(), 0);
-  ASSERT_TRUE(dom_xml.ok() && streamed_xml.ok());
-  EXPECT_EQ(*streamed_xml, *dom_xml);
+  ExpectDomAndTextShredAlike(*generated);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingAgreement,

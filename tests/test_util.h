@@ -19,6 +19,7 @@
 
 #include "model/document.h"
 #include "model/shredder.h"
+#include "model/storage_io.h"
 
 namespace meetxml {
 namespace testing {
@@ -28,6 +29,14 @@ inline model::StoredDocument MustShred(std::string_view xml_text) {
   auto result = model::ShredXmlText(xml_text);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).ValueOrDie();
+}
+
+/// The storage image of `doc`, failing the test on any error: two
+/// documents are the same document when their images are equal bytes.
+inline std::string MustImage(const model::StoredDocument& doc) {
+  auto bytes = model::SaveToBytes(doc);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? *bytes : std::string();
 }
 
 /// A scratch file under the system temp directory whose name is unique

@@ -45,7 +45,7 @@ TEST(Validate, GeneratedCorporaPass) {
 
 TEST(Validate, StreamedAndReloadedDocumentsPass) {
   std::string xml_text = data::PaperExampleXml();
-  auto streamed = ShredXmlTextStreaming(xml_text);
+  auto streamed = ShredXmlText(xml_text);
   ASSERT_TRUE(streamed.ok());
   MEETXML_CHECK_OK(ValidateDocument(*streamed));
 

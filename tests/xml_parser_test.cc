@@ -87,16 +87,6 @@ TEST(XmlParser, SkipsCommentsByDefault) {
   EXPECT_EQ(result->root->children()[0]->tag(), "b");
 }
 
-TEST(XmlParser, KeepsCommentsWhenAsked) {
-  ParseOptions options;
-  options.keep_comments = true;
-  auto result = Parse("<a><!--note--></a>", options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_EQ(result->root->children().size(), 1u);
-  EXPECT_EQ(result->root->children()[0]->kind(), NodeKind::kComment);
-  EXPECT_EQ(result->root->children()[0]->text(), "note");
-}
-
 TEST(XmlParser, ParsesXmlDeclarationAndDoctype) {
   auto result = Parse(
       "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
@@ -114,13 +104,14 @@ TEST(XmlParser, SkipsDoctypeWithInternalSubset) {
 }
 
 TEST(XmlParser, ParsesProcessingInstructions) {
-  ParseOptions options;
-  options.keep_processing_instructions = true;
-  auto result = Parse("<a><?target some data?></a>", options);
+  // PIs are checked and dropped in the prolog, the content and the
+  // epilog; the text runs around one merge.
+  auto result =
+      Parse("<?style x?><a>one<?target some data?>two<b/></a><?end?>");
   ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_EQ(result->root->children().size(), 1u);
-  EXPECT_EQ(result->root->children()[0]->pi_target(), "target");
-  EXPECT_EQ(result->root->children()[0]->text(), "some data");
+  ASSERT_EQ(result->root->children().size(), 2u);
+  EXPECT_EQ(result->root->children()[0]->text(), "onetwo");
+  EXPECT_EQ(result->root->children()[1]->tag(), "b");
 }
 
 TEST(XmlParser, HandlesDeepNestingIteratively) {
@@ -214,7 +205,14 @@ TEST(XmlEscape, EscapesAttributeSpecials) {
 }
 
 TEST(XmlEscape, DecodeRejectsLoneAmpersand) {
-  EXPECT_FALSE(DecodeEntities("a & b").ok());
+  std::string out;
+  EXPECT_FALSE(DecodeEntities("a & b", &out).ok());
+}
+
+TEST(XmlEscape, DecodeAppendsToTheCallersBuffer) {
+  std::string out = "pre:";
+  MEETXML_CHECK_OK(DecodeEntities("a&amp;b&#x41;&#66;", &out));
+  EXPECT_EQ(out, "pre:a&bAB");
 }
 
 TEST(XmlEscape, Utf8EncodingBoundaries) {
