@@ -1,16 +1,10 @@
-// AB9 — ablation: the parallel bulk-load pipeline and persisted text
-// indexes (the two halves of the MXM2 work).
+// AB9 — ablation: persisted text indexes and the cold start of an
+// executor from a stored image (the index half of the MXM2 work; the
+// shred half is timed by ab3_shred_scaling).
 //
-// Part 1 measures parse+shred wall time: the sequential ShredXmlText
-// vs. the parallel pipeline at 1/2/4/8 threads on the ab3 corpus
-// shape. Expected shape: near-linear speedup with threads until the
-// sequential merge pass dominates (Amdahl); the thread-1 pipeline run
-// shows the splitter+merge overhead in isolation. (On a single-core
-// machine all variants collapse to sequential speed.)
-//
-// Part 2 measures what a query process pays before its first text
-// predicate: rebuilding the inverted/trigram indexes from the document
-// vs. decoding them from the MXM2 TIDX section, and the end-to-end
+// Measures what a query process pays before its first text predicate:
+// rebuilding the inverted/trigram indexes from the document vs.
+// decoding them from the MXM2 TIDX section, and the end-to-end
 // executor paths (image bytes -> executor with a hot index). Expected
 // shape: decode beats rebuild by >5x — it never tokenizes a string.
 
@@ -19,7 +13,6 @@
 #include <string>
 
 #include "data/dblp_gen.h"
-#include "model/bulk_load.h"
 #include "model/shredder.h"
 #include "model/storage_io.h"
 #include "query/executor.h"
@@ -83,43 +76,6 @@ const std::string& IndexedImage() {
   }();
   return *bytes;
 }
-
-// ---- Part 1: shred throughput -------------------------------------------
-
-void BM_ShredSequential(benchmark::State& state) {
-  const std::string& xml_text = SharedXml();
-  size_t nodes = 0;
-  for (auto _ : state) {
-    auto doc = model::ShredXmlText(xml_text);
-    MEETXML_CHECK_OK(doc.status());
-    nodes = doc->node_count();
-    benchmark::DoNotOptimize(doc);
-  }
-  state.counters["xml_MB"] = static_cast<double>(xml_text.size()) / 1e6;
-  state.counters["nodes"] = static_cast<double>(nodes);
-}
-BENCHMARK(BM_ShredSequential)->Unit(benchmark::kMillisecond);
-
-void BM_ShredParallel(benchmark::State& state) {
-  const std::string& xml_text = SharedXml();
-  model::BulkLoadOptions options;
-  options.threads = static_cast<unsigned>(state.range(0));
-  options.min_parallel_bytes = 0;
-  for (auto _ : state) {
-    auto doc = model::BulkShredXmlText(xml_text, options);
-    MEETXML_CHECK_OK(doc.status());
-    benchmark::DoNotOptimize(doc);
-  }
-  state.counters["threads"] = static_cast<double>(options.threads);
-}
-BENCHMARK(BM_ShredParallel)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-// ---- Part 2: index rebuild vs. persisted decode -------------------------
 
 void BM_IndexRebuild(benchmark::State& state) {
   const model::StoredDocument& doc = SharedDoc();

@@ -1,11 +1,11 @@
 // Persistent store: bulk-load once, query forever.
 //
-// Demonstrates the full production loading path: parallel bulk load
-// (model/bulk_load.h), index construction, persistence of document AND
+// Demonstrates the full production loading path: one shred of the XML
+// (model/shredder.h), index construction, persistence of document AND
 // full-text indexes in one MXM2 image (text/index_io.h), and reload
 // into an executor whose indexes are hot without rebuilding — the
 // workflow of the paper's case study ("We prepared the bibliography by
-// bulk loading it into Monet XML") made durable and parallel.
+// bulk loading it into Monet XML") made durable.
 //
 // Run:  ./persistent_store [store.mxm]
 
@@ -13,13 +13,11 @@
 #include <string>
 
 #include "data/dblp_gen.h"
-#include "model/bulk_load.h"
 #include "model/shredder.h"
 #include "model/stats.h"
 #include "query/executor.h"
 #include "text/index_io.h"
 #include "text/search.h"
-#include "util/threads.h"
 #include "util/timer.h"
 #include "xml/serializer.h"
 
@@ -39,20 +37,11 @@ int main(int argc, char** argv) {
   serialize_options.indent = 1;
   std::string xml_text = xml::Serialize(*generated, serialize_options);
 
-  // 2. Bulk load from XML: sequential vs. the parallel pipeline.
+  // 2. Bulk load from XML: one pass of the Monet transform.
   util::Timer timer;
-  auto sequential = model::ShredXmlText(xml_text);
-  MEETXML_CHECK_OK(sequential.status());
-  double sequential_ms = timer.ElapsedMillis();
-
-  model::BulkLoadOptions bulk_options;
-  bulk_options.min_parallel_bytes = 0;
-  unsigned threads = util::ResolveThreads(0);
-  bulk_options.threads = threads;
-  timer.Reset();
-  auto doc = model::BulkShredXmlText(xml_text, bulk_options);
+  auto doc = model::ShredXmlText(xml_text);
   MEETXML_CHECK_OK(doc.status());
-  double parallel_ms = timer.ElapsedMillis();
+  double shred_ms = timer.ElapsedMillis();
 
   // 3. Build the text indexes once, then persist document + indexes
   //    into one MXM2 image.
@@ -73,15 +62,13 @@ int main(int argc, char** argv) {
 
   std::printf("XML size:        %.1f MB\n",
               static_cast<double>(xml_text.size()) / 1e6);
-  std::printf("shred (1 thr):   %.1f ms\n", sequential_ms);
-  std::printf("shred (%u thr):   %.1f ms (%.1fx)\n", threads, parallel_ms,
-              sequential_ms / parallel_ms);
+  std::printf("shred:           %.1f ms\n", shred_ms);
   std::printf("index build:     %.1f ms\n", index_ms);
   std::printf("save image:      %.1f ms -> %s\n", save_ms,
               store_path.c_str());
   std::printf("reload image:    %.1f ms, indexes included "
               "(%.1fx faster than re-parse + re-index)\n\n",
-              load_ms, (sequential_ms + index_ms) / load_ms);
+              load_ms, (shred_ms + index_ms) / load_ms);
 
   // 5. The reloaded store answers queries with hot indexes.
   auto stats = model::ComputeStats(store->doc);

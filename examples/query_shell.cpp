@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "data/paper_example.h"
-#include "model/bulk_load.h"
+#include "model/shredder.h"
 #include "model/stats.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -132,7 +132,7 @@ bool OpenFile(store::Catalog* catalog, const std::string& path) {
     }
     return true;
   }
-  auto doc = model::BulkShredXmlFile(path);
+  auto doc = model::ShredXmlFile(path);
   if (!doc.ok()) {
     std::printf("error: %s\n", doc.status().ToString().c_str());
     return false;

@@ -42,7 +42,6 @@
 #include "bat/ops.h"
 
 // Data model and storage.
-#include "model/bulk_load.h"
 #include "model/document.h"
 #include "model/path_summary.h"
 #include "model/reassembly.h"

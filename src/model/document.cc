@@ -125,20 +125,6 @@ std::string_view StoredDocument::CdataValue(Oid cdata_node) const {
   return values.empty() ? std::string_view() : values.front();
 }
 
-std::vector<std::tuple<PathId, Oid, std::string_view>>
-StoredDocument::StringsInAppendOrder() const {
-  std::vector<std::tuple<PathId, Oid, std::string_view>> out(
-      string_count_);
-  for (PathId p = 0; p < strings_.size(); ++p) {
-    const OidStrBat& table = strings_[p];
-    for (size_t row = 0; row < table.size(); ++row) {
-      out[string_seq_[p][row]] =
-          std::make_tuple(p, table.head(row), table.tail(row));
-    }
-  }
-  return out;
-}
-
 std::span<const uint32_t> StoredDocument::StringSeqAt(PathId path) const {
   if (path >= string_seq_.size()) return {};
   return string_seq_[path].span();

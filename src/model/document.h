@@ -20,7 +20,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -143,13 +142,6 @@ class StoredDocument {
 
   /// \brief Text of a cdata node; empty view if none recorded.
   std::string_view CdataValue(Oid cdata_node) const;
-
-  /// \brief All string associations in their original append (document)
-  /// order — the order that reassembly uses to restore per-element
-  /// attribute order. Used by persistence. Views borrow from the
-  /// per-path arenas and stay valid until the relations are mutated.
-  std::vector<std::tuple<PathId, Oid, std::string_view>>
-  StringsInAppendOrder() const;
 
   /// \brief The global append sequence of every row of StringsAt(path),
   /// parallel to that relation — the permutation column the columnar

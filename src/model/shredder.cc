@@ -1,11 +1,13 @@
 #include "model/shredder.h"
 
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "util/mmap_file.h"
 #include "util/strings.h"
 #include "xml/parser.h"
+#include "xml/sax.h"
 
 namespace meetxml {
 namespace model {
@@ -13,7 +15,31 @@ namespace model {
 using util::Result;
 using util::Status;
 
-namespace internal {
+namespace {
+
+// SAX sink implementing the Monet transform: interns paths, assigns
+// OIDs in document order and appends string associations.
+class ShredSink : public xml::SaxHandler {
+ public:
+  Status StartElement(
+      std::string_view tag,
+      std::span<const xml::AttributeView> attributes) override;
+  Status EndElement(std::string_view tag) override;
+  Status Text(std::string_view text) override;
+
+  // Finalized document, ready for queries.
+  Result<StoredDocument> TakeFinalized();
+
+ private:
+  struct Frame {
+    Oid oid;
+    PathId path;
+    int next_rank;
+  };
+
+  StoredDocument stored_;
+  std::vector<Frame> stack_;
+};
 
 Status ShredSink::StartElement(
     std::string_view tag, std::span<const xml::AttributeView> attributes) {
@@ -55,10 +81,10 @@ Result<StoredDocument> ShredSink::TakeFinalized() {
   return std::move(stored_);
 }
 
-}  // namespace internal
+}  // namespace
 
 Result<StoredDocument> ShredXmlText(std::string_view xml_text) {
-  internal::ShredSink sink;
+  ShredSink sink;
   MEETXML_RETURN_NOT_OK(xml::ParseSax(xml_text, &sink));
   return sink.TakeFinalized();
 }
@@ -74,7 +100,7 @@ Result<StoredDocument> Shred(const xml::Document& doc) {
   if (!doc.root || !doc.root->is_element()) {
     return Status::InvalidArgument("document has no root element");
   }
-  internal::ShredSink sink;
+  ShredSink sink;
   std::vector<xml::AttributeView> attributes;
   // Iterative walk, so that arbitrarily deep documents cannot overflow
   // the native stack: one frame per open element, holding the index of

@@ -109,9 +109,9 @@
 //    or promoted via EnsureOwned(). Byte-level loaders pass the
 //    ownership burden to the caller unless LoadOptions::backing is
 //    set. Mutating a view-backed document (AppendString, column
-//    adoption, bulk-load merge) promotes the touched structures to
-//    owned storage first — copy-on-write at column granularity —
-//    and never invalidates other borrowers of the same image.
+//    adoption) promotes the touched structures to owned storage
+//    first — copy-on-write at column granularity — and never
+//    invalidates other borrowers of the same image.
 //  * A payload whose base address is not 4-byte aligned (an exotic
 //    byte-level caller) silently falls back to copy mode;
 //    LoadStats::mode_used reports what actually happened.

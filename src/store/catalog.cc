@@ -703,10 +703,9 @@ Result<Catalog> Catalog::LoadFromBytes(std::string_view bytes,
 
   // Phase 2 (parallel): decode every entry's sections on a thread
   // pool — the sections are independently checksummed byte ranges, so
-  // workers share nothing but the input image. Same pool pattern as
-  // model/bulk_load; errors are collected per entry and the first one
-  // in directory order wins, matching what a serial decode would have
-  // reported.
+  // workers share nothing but the input image. Errors are collected
+  // per entry and the first one in directory order wins, matching what
+  // a serial decode would have reported.
   struct DecodedEntry {
     Status status = Status::OK();
     StoredDocument doc;

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <ios>
 #include <iterator>
 #include <string>
 #include <string_view>
@@ -26,11 +27,21 @@ namespace meetxml {
 namespace util {
 
 /// \brief Reads a file's entire contents into memory (binary mode).
+/// A path that opens but cannot be read (a directory) is an
+/// InvalidArgument, never an exception.
 inline Result<std::string> ReadFileToString(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("cannot open file: ", path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
+  std::string content;
+  try {
+    // libstdc++'s filebuf throws from underflow() when read(2) fails
+    // (EISDIR on a directory), whatever the stream's exception mask.
+    content.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+  } catch (const std::ios_base::failure& failure) {
+    return Status::InvalidArgument("cannot read ", path, ": ",
+                                   failure.what());
+  }
   if (in.bad()) return Status::Internal("read failed: ", path);
   return content;
 }

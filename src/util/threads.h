@@ -1,10 +1,10 @@
 // Thread plumbing shared by every parallel loop in the tree.
 //
-// Bulk load, the parallel catalog decode, Catalog::Warm, the
-// multi-document query fan-out and the cross-document lookup all take
-// a "0 means pick for me" thread knob and run the same
-// pick-next-atomically worker loop through ParallelFor; resolving the
-// knob and running the loop in one place keeps the contract (and the
+// The parallel catalog decode, Catalog::Warm, the multi-document
+// query fan-out and the cross-document lookup all take a "0 means
+// pick for me" thread knob and run the same pick-next-atomically
+// worker loop through ParallelFor; resolving the knob and running the
+// loop in one place keeps the contract (and the
 // hardware_concurrency()-can-return-0 workaround) from drifting per
 // call site.
 //

@@ -463,6 +463,21 @@ TEST(Catalog, FileRoundTrip) {
   std::filesystem::remove(path);
 }
 
+TEST(Catalog, DirectoryIsAnErrorNotAnAbort) {
+  const std::string dir = std::filesystem::temp_directory_path().string();
+  for (bool lazy : {false, true}) {
+    for (model::LoadMode mode : {model::LoadMode::kCopy,
+                                 model::LoadMode::kView}) {
+      CatalogLoadOptions options;
+      options.mode = mode;
+      options.lazy = lazy;
+      auto loaded = Catalog::LoadFromFile(dir, options);
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_TRUE(loaded.status().IsInvalidArgument()) << loaded.status();
+    }
+  }
+}
+
 // --- Lazy opens -------------------------------------------------------
 
 TEST(Catalog, LazyOpenDefersDecodingUntilFirstTouch) {

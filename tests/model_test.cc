@@ -1,6 +1,9 @@
 // Unit tests for the path summary, the Monet transform (shredder),
 // StoredDocument invariants, and object reassembly.
 
+#include <filesystem>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "data/dblp_gen.h"
@@ -11,6 +14,7 @@
 #include "model/reassembly.h"
 #include "model/shredder.h"
 #include "tests/test_util.h"
+#include "util/file_io.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
@@ -288,6 +292,39 @@ TEST_P(StreamingAgreement, RandomTreesShredIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingAgreement,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
+
+// ---- Files --------------------------------------------------------------
+
+TEST(Shredder, FilesShredLikeTheirText) {
+  data::DblpOptions options;
+  options.end_year = 1985;
+  auto xml_text = data::GenerateDblpXml(options);
+  ASSERT_TRUE(xml_text.ok());
+  meetxml::testing::TempFile file("corpus.xml");
+  MEETXML_CHECK_OK(util::WriteFileAtomic(file.path(), *xml_text));
+
+  auto shredded = ShredXmlFile(file.path());
+  ASSERT_TRUE(shredded.ok()) << shredded.status();
+  EXPECT_EQ(MustImage(*shredded), MustImage(MustShred(*xml_text)));
+}
+
+TEST(Shredder, MissingOrEmptyFilesFail) {
+  meetxml::testing::TempFile missing("missing.xml");
+  EXPECT_TRUE(ShredXmlFile(missing.path()).status().IsNotFound());
+
+  meetxml::testing::TempFile empty("empty.xml");
+  MEETXML_CHECK_OK(util::WriteFileAtomic(empty.path(), ""));
+  EXPECT_TRUE(ShredXmlFile(empty.path()).status().IsInvalidArgument());
+}
+
+TEST(Shredder, DirectoryIsAnErrorNotAnAbort) {
+  const std::string dir = std::filesystem::temp_directory_path().string();
+  auto result = ShredXmlFile(dir);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument()) << result.status();
+  EXPECT_NE(result.status().message().find(dir), std::string::npos)
+      << result.status();
+}
 
 // ---- Reassembly ------------------------------------------------------
 

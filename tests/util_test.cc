@@ -510,8 +510,8 @@ TEST(ParallelFor, MoreCallersThanHelpersEachCoverEveryIndexOnce) {
 }
 
 TEST(ParallelFor, ExplicitWidthGetsThatManyWorkersOnAnyMachine) {
-  // Bulk load and the catalog decode pin an 8-wide run even on fewer
-  // cores; the pool grows to hold the seven helpers that takes.
+  // The catalog decode pins an 8-wide run even on fewer cores; the
+  // pool grows to hold the seven helpers that takes.
   std::mutex mu;
   std::set<std::thread::id> ran_on;
   EXPECT_EQ(ParallelFor(64, 8,

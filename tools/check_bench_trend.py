@@ -7,7 +7,7 @@ benchmark's wall time grew beyond the threshold (default 2x) — the
 tripwire for the BENCH_*.json trajectory the bench-smoke job archives.
 
 Registered trend files (one invocation each in the CI bench-smoke
-job): BENCH_ab9_bulk_load.json (parallel load + persisted indexes),
+job): BENCH_ab9_bulk_load.json (persisted indexes + executor cold start),
 BENCH_ab10_catalog.json (multi-document fan-out),
 BENCH_ab11_cold_start.json (image -> hot executor; guards the
 columnar decode, the zero-copy view-mode open — the
